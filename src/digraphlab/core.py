@@ -71,6 +71,16 @@ class Digraph:
             ins[v].add(u)
         return tuple(frozenset(s) for s in ins)
 
+    @cached_property
+    def out_masks(self) -> tuple[int, ...]:
+        """``out_sets`` as int bitmasks: bit v of ``out_masks[u]`` is arc (u, v)."""
+        return tuple(sum(1 << v for v in s) for s in self.out_sets)
+
+    @cached_property
+    def in_masks(self) -> tuple[int, ...]:
+        """``in_sets`` as int bitmasks: bit u of ``in_masks[v]`` is arc (u, v)."""
+        return tuple(sum(1 << u for u in s) for s in self.in_sets)
+
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arc_set
 
@@ -175,11 +185,26 @@ def to_json(g: Digraph) -> str:
     return json.dumps(to_json_dict(g), separators=(",", ":"))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_json_dict(d: dict) -> Digraph:
+    """Digraph from its JSON object; anything off the format is a
+    ConstructionError, never coerced."""
     if not isinstance(d, dict) or "n" not in d or "arcs" not in d:
         raise ConstructionError("digraph JSON needs 'n' and 'arcs' keys")
-    arcs = [(int(u), int(v)) for u, v in d["arcs"]]
-    return make_digraph(int(d["n"]), arcs, name=d.get("name"))
+    n, arcs = d["n"], d["arcs"]
+    if not _is_int(n) or n < 0:
+        raise ConstructionError(f"'n' must be an integer >= 0, got {n!r}")
+    if not isinstance(arcs, list) or not all(
+        isinstance(a, list) and len(a) == 2 and _is_int(a[0]) and _is_int(a[1]) for a in arcs
+    ):
+        raise ConstructionError("'arcs' must be a list of [u, v] integer pairs")
+    name = d.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ConstructionError(f"'name' must be a string, got {name!r}")
+    return make_digraph(n, [(u, v) for u, v in arcs], name=name)
 
 
 def from_json(text: str) -> Digraph:

@@ -1,14 +1,19 @@
 """Homomorphism decision engine.
 
-Arc-consistency filtering (a worklist fixpoint over the source's arcs)
-followed by backtracking search with smallest-domain-first variable order.
-For targets whose obstruction sets are trees, arc consistency alone decides;
-the backtracking layer then never actually backtracks.
+Maintained arc consistency (MAC): an AC-3 fixpoint over the source's arcs,
+kept after every assignment of a backtracking search that tries the smallest
+domain first.  Domains are int bitmasks over the target's vertices; the
+constraint index is built once per search, every domain change goes on a
+trail that is undone on backtrack, and the search runs on an explicit stack
+of frames, so no source is too large for the Python recursion limit.  For
+targets whose obstruction sets are trees, arc consistency alone decides; the
+search then never actually backtracks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from itertools import product as iter_product
 from typing import Optional, Union
 
@@ -22,30 +27,23 @@ DEFAULT_BUDGET = 10_000_000
 BRUTE_FORCE_LIMIT = 10_000_000
 
 
-class _BudgetExhausted(Exception):
-    pass
+class _Budget(Enum):
+    """Outcome of a search that ran out of budget (no claim made)."""
 
-
-class _BudgetExceededType:
-    """Singleton returned when a search ran out of budget (no claim made)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    EXCEEDED = "BUDGET_EXCEEDED"
 
     def __repr__(self) -> str:
-        return "BUDGET_EXCEEDED"
+        return self.value
+
+    __str__ = __repr__
 
     def __bool__(self) -> bool:
         return False
 
 
-BUDGET_EXCEEDED = _BudgetExceededType()
+BUDGET_EXCEEDED = _Budget.EXCEEDED
 
-HomResult = Union[Hom, ProductHom, None, _BudgetExceededType]
+HomResult = Union[Hom, ProductHom, None, _Budget]
 
 
 @dataclass
@@ -82,100 +80,192 @@ def arc_consistency(problem: HomProblem) -> Optional[HomProblem]:
     runs factor by factor.
     """
     g = problem.source
-    if isinstance(problem.target, ProductSpec):
-        reduced = []
-        for f, doms in zip(problem.target.factors, problem.domains):
-            new = _ac_fixpoint(g, f, [set(d) for d in doms])
-            if new is None:
-                return None
-            reduced.append(new)
-        return HomProblem(g, problem.target, reduced, problem.budget)
-    new = _ac_fixpoint(g, problem.target, [set(d) for d in problem.domains])
-    if new is None:
-        return None
-    return HomProblem(g, problem.target, new, problem.budget)
+    product = isinstance(problem.target, ProductSpec)
+    targets = problem.target.factors if product else (problem.target,)
+    domain_lists = problem.domains if product else (problem.domains,)
+    reduced = []
+    for h, domains in zip(targets, domain_lists):
+        doms = [sum(1 << x for x in d) for d in domains]
+        if not _Constraints(g, h).fixpoint(doms):
+            return None
+        reduced.append([{x for x in range(h.n) if d >> x & 1} for d in doms])
+    return HomProblem(g, problem.target, reduced if product else reduced[0], problem.budget)
 
 
-def _loop_vertices(h: Digraph) -> frozenset[int]:
-    return frozenset(u for u, v in h.arcs if u == v)
+class _Constraints:
+    """The binary constraints of a source g over a target h, indexed once.
 
-
-def _ac_fixpoint(g: Digraph, h: Digraph, doms: list[set[int]], touched=None):
-    """Run AC-3 over the binary constraints of g in place; None on a wipeout.
-
-    ``touched`` optionally seeds the worklist with the vertices whose domains
-    just changed (incremental re-propagation during search).
+    ``succ[u]``/``pred[u]`` are u's out- and in-neighbours in g without u
+    itself; source loops are unary filters applied by ``fixpoint``.  Domains
+    are int bitmasks over V(h).  A domain D supports, along an arc, the
+    union of the target masks of D's values; ``supports`` memoises that pair
+    of unions (out-arcs, in-arcs) per domain.
     """
-    if g.n == 0:
-        return doms
-    loops_h = _loop_vertices(h)
-    cons = []  # (u, v) source arcs, loops handled as unary filters
-    for u, v in g.arcs:
-        if u == v:
-            doms[u] &= loops_h
+
+    __slots__ = ("g", "h", "loops", "succ", "pred", "supports")
+
+    def __init__(self, g: Digraph, h: Digraph):
+        self.g = g
+        self.h = h
+        self.loops = [u for u in range(g.n) if u in g.out_sets[u]]
+        if self.loops:
+            self.succ = [[v for v in g.out_sets[u] if v != u] for u in range(g.n)]
+            self.pred = [[v for v in g.in_sets[u] if v != u] for u in range(g.n)]
         else:
-            cons.append((u, v))
-    at: list[list[int]] = [[] for _ in range(g.n)]
-    for ci, (u, v) in enumerate(cons):
-        at[u].append(ci)
-        at[v].append(ci)
-    out_sets, in_sets = h.out_sets, h.in_sets
+            self.succ, self.pred = g.out_sets, g.in_sets
+        self.supports: dict[int, tuple[int, int]] = {}
 
-    queue = set(range(len(cons))) if touched is None else {ci for t in touched for ci in at[t]}
-    while queue:
-        ci = queue.pop()
-        u, v = cons[ci]
-        du, dv = doms[u], doms[v]
-        keep_u = {x for x in du if not out_sets[x].isdisjoint(dv)}
-        if len(keep_u) != len(du):
-            if not keep_u:
+    def fixpoint(self, doms: list[int]) -> bool:
+        """Filter doms in place to the largest arc-consistent domains;
+        False when one of them is empty."""
+        if self.loops:
+            h = self.h
+            loop_mask = sum(1 << x for x in range(h.n) if h.out_masks[x] >> x & 1)
+            for u in self.loops:
+                doms[u] &= loop_mask
+        return self.propagate(doms, set(range(self.g.n)), []) and all(doms)
+
+    def _support(self, d: int) -> tuple[int, int]:
+        out_masks, in_masks = self.h.out_masks, self.h.in_masks
+        out_sup = in_sup = 0
+        rest = d
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
+            out_sup |= out_masks[x]
+            in_sup |= in_masks[x]
+            rest ^= low
+        self.supports[d] = pair = (out_sup, in_sup)
+        return pair
+
+    def propagate(self, doms: list[int], queue: set[int], trail: list[int]) -> bool:
+        """AC-3 from the vertices in ``queue``, whose domains just changed.
+
+        Each domain a revision replaces is pushed on ``trail`` as a vertex,
+        old-mask pair.  Returns False on a wipeout, with doms partly filtered.
+        """
+        succ, pred, supports = self.succ, self.pred, self.supports
+        push = trail.append
+        while queue:
+            u = queue.pop()
+            du = doms[u]
+            out_sup, in_sup = supports.get(du) or self._support(du)
+            for v in succ[u]:
+                dv = doms[v]
+                kept = dv & out_sup
+                if kept != dv:
+                    if not kept:
+                        return False
+                    push(v)
+                    push(dv)
+                    doms[v] = kept
+                    queue.add(v)
+            for v in pred[u]:
+                dv = doms[v]
+                kept = dv & in_sup
+                if kept != dv:
+                    if not kept:
+                        return False
+                    push(v)
+                    push(dv)
+                    doms[v] = kept
+                    queue.add(v)
+        return True
+
+
+class _Buckets:
+    """Unassigned vertices (domain size >= 2) bucketed by domain size.
+
+    Bucket s is a bitmask over each vertex's rank in ``(-deg, x)`` order, so
+    the lowest set bit of the smallest non-empty bucket is the minimum of
+    ``(len(dom), -deg, x)`` without a scan over the vertices.
+    """
+
+    __slots__ = ("doms", "order", "rank", "size", "buckets", "nonempty")
+
+    def __init__(self, doms: list[int], degs: list[int], width: int):
+        self.doms = doms
+        self.order = sorted(range(len(doms)), key=lambda x: (-degs[x], x))
+        self.rank = [0] * len(doms)
+        for r, x in enumerate(self.order):
+            self.rank[x] = r
+        self.size = [1] * len(doms)
+        self.buckets = [0] * (width + 1)
+        self.nonempty = 0
+        self.sync(range(len(doms)))
+
+    def sync(self, vertices) -> None:
+        """Re-bucket the given vertices after their domains changed."""
+        doms, size, rank, buckets = self.doms, self.size, self.rank, self.buckets
+        for x in vertices:
+            new, old = doms[x].bit_count(), size[x]
+            if new == old:
+                continue
+            size[x] = new
+            bit = 1 << rank[x]
+            if old > 1:
+                buckets[old] ^= bit
+                if not buckets[old]:
+                    self.nonempty ^= 1 << old
+            if new > 1:
+                if not buckets[new]:
+                    self.nonempty |= 1 << new
+                buckets[new] |= bit
+
+    def pick(self) -> Optional[int]:
+        """The next vertex to branch on, or None when all are assigned."""
+        if not self.nonempty:
+            return None
+        s = (self.nonempty & -self.nonempty).bit_length() - 1
+        m = self.buckets[s]
+        return self.order[(m & -m).bit_length() - 1]
+
+
+def _mac_search(cons: _Constraints, doms: list[int], degs: list[int], budget: int):
+    """MAC backtracking from arc-consistent doms: smallest domain first (big
+    source degree, then low index, breaks ties), values ascending.
+
+    Returns the assignment, None when there is none, or BUDGET_EXCEEDED once
+    more than ``budget`` values have been tried.  A frame is [vertex,
+    values not yet tried, trail length before its assignment].
+    """
+    buckets = _Buckets(doms, degs, cons.h.n)
+    trail: list[int] = []
+    frames: list[list[int]] = []
+    nodes = 0
+    while True:
+        u = buckets.pick()
+        if u is None:
+            return tuple(d.bit_length() - 1 for d in doms)
+        frames.append([u, doms[u], len(trail)])
+        while True:
+            if not frames:
                 return None
-            doms[u] = keep_u
-            queue.update(at[u])
-        keep_v = {y for y in dv if not in_sets[y].isdisjoint(doms[u])}
-        if len(keep_v) != len(dv):
-            if not keep_v:
-                return None
-            doms[v] = keep_v
-            queue.update(at[v])
-    if any(not d for d in doms):
-        return None
-    return doms
-
-
-class _Counter:
-    __slots__ = ("nodes", "budget")
-
-    def __init__(self, budget: int):
-        self.nodes = 0
-        self.budget = budget
-
-    def spend(self):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise _BudgetExhausted
+            frame = frames[-1]
+            u, untried, mark = frame
+            if len(trail) > mark:
+                for i in range(len(trail) - 2, mark - 1, -2):
+                    doms[trail[i]] = trail[i + 1]
+                undone = trail[mark::2]
+                del trail[mark:]
+                buckets.sync(undone)
+            if not untried:
+                frames.pop()
+                continue
+            val = untried & -untried
+            frame[1] = untried ^ val
+            nodes += 1
+            if nodes > budget:
+                return BUDGET_EXCEEDED
+            trail += (u, doms[u])
+            doms[u] = val
+            if cons.propagate(doms, {u}, trail):
+                buckets.sync(trail[mark::2])
+                break
 
 
 def _sym_degrees(g: Digraph) -> list[int]:
-    return [len((g.out_sets[u] | g.in_sets[u]) - {u}) for u in range(g.n)]
-
-
-def _search(g: Digraph, h: Digraph, doms: list[set[int]], counter: _Counter, degs: list[int]):
-    """MAC backtracking: smallest domain first (big source degree breaks
-    ties), values ascending."""
-    unassigned = [u for u in range(g.n) if len(doms[u]) != 1]
-    if not unassigned:
-        return tuple(next(iter(d)) for d in doms)
-    u = min(unassigned, key=lambda x: (len(doms[x]), -degs[x], x))
-    for val in sorted(doms[u]):
-        counter.spend()
-        trial = [set(d) for d in doms]
-        trial[u] = {val}
-        if _ac_fixpoint(g, h, trial, touched=[u]) is not None:
-            found = _search(g, h, trial, counter, degs)
-            if found is not None:
-                return found
-    return None
+    return [len(g.out_sets[u] | g.in_sets[u]) - (u in g.out_sets[u]) for u in range(g.n)]
 
 
 def _is_complete_symmetric(h: Digraph) -> bool:
@@ -204,7 +294,7 @@ def _hom_exists_digraph(g: Digraph, h: Digraph, budget: int) -> HomResult:
         return Hom((), g.name, h.name)
     if h.n == 0:
         return None
-    doms = [set(range(h.n)) for _ in range(g.n)]
+    doms = [(1 << h.n) - 1] * g.n
     degs = _sym_degrees(g)
     if _is_complete_symmetric(h):
         # all target vertices are interchangeable: along any fixed source
@@ -215,16 +305,13 @@ def _hom_exists_digraph(g: Digraph, h: Digraph, budget: int) -> HomResult:
         clique = _greedy_conflict_clique(g, degs)
         rest = sorted(set(range(g.n)) - set(clique), key=lambda u: (-degs[u], u))
         for pos, u in enumerate(clique + rest):
-            doms[u] = set(range(min(pos, h.n - 1) + 1))
-    if _ac_fixpoint(g, h, doms) is None:
+            doms[u] = (2 << min(pos, h.n - 1)) - 1
+    cons = _Constraints(g, h)
+    if not cons.fixpoint(doms):
         return None
-    counter = _Counter(budget)
-    try:
-        assignment = _search(g, h, doms, counter, degs)
-    except _BudgetExhausted:
-        return BUDGET_EXCEEDED
-    if assignment is None:
-        return None
+    assignment = _mac_search(cons, doms, degs, budget)
+    if assignment is None or assignment is BUDGET_EXCEEDED:
+        return assignment
     witness = Hom(assignment, g.name, h.name)
     assert validate_hom(witness, g, h)
     return witness

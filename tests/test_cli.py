@@ -135,6 +135,16 @@ def test_missing_file(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "bad", [{"n": 3, "arcs": 5}, {"n": True, "arcs": []}, {"n": 3, "arcs": [[0.9, 2.2]]}]
+)
+def test_malformed_json_input_is_usage_error(tmp_path, capsys, bad):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(bad))
+    code, out, _ = run(capsys, "chi", "--input", str(src))
+    assert code == 3 and out == ""
+
+
 def test_hom_budget_exceeded_exit(tmp_path, capsys):
     c7 = tmp_path / "c7.json"
     c5 = tmp_path / "c5.json"

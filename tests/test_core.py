@@ -153,6 +153,28 @@ def test_json_rejects_malformed():
         from_json("{}")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": true, "arcs": []}',
+        '{"n": 2.7, "arcs": []}',
+        '{"n": "3", "arcs": []}',
+        '{"n": -1, "arcs": []}',
+        '{"n": 3, "arcs": [[0.9, 2.2]]}',
+        '{"n": 3, "arcs": [["0", 1]]}',
+        '{"n": 3, "arcs": [[false, 1]]}',
+        '{"n": 3, "arcs": [[0, 1, 2]]}',
+        '{"n": 3, "arcs": [0, 1]}',
+        '{"n": 3, "arcs": 5}',
+        '{"n": 3, "arcs": {"0": 1}}',
+        '{"n": 1, "arcs": [], "name": 5}',
+    ],
+)
+def test_json_rejects_ill_typed_fields(text):
+    with pytest.raises(ConstructionError):
+        from_json(text)
+
+
 def test_dot_export():
     g = make_digraph(2, [(0, 1)])
     dot = to_dot(g)

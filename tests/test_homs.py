@@ -1,4 +1,6 @@
+import pickle
 import random
+import sys
 
 import pytest
 
@@ -21,6 +23,7 @@ from digraphlab import (
 )
 from digraphlab.constructions import b_graph
 from digraphlab.core import SizeLimitExceeded
+from digraphlab.product import ProductHom, ProductSpec
 from digraphlab.verify import random_digraph
 
 
@@ -89,6 +92,8 @@ def test_budget_exceeded_is_reported():
     r = hom_exists(_directed_cycle(7), _directed_cycle(5), budget=2)
     assert r is BUDGET_EXCEEDED
     assert not r
+    assert repr(r) == "BUDGET_EXCEEDED"
+    assert pickle.loads(pickle.dumps(r)) is BUDGET_EXCEEDED
     assert hom_exists(_directed_cycle(7), _directed_cycle(5)) is None
 
 
@@ -187,3 +192,74 @@ def test_symmetrize_needs_more_colours():
     # chromatic-style instance through the hom engine
     assert hom_exists(symmetrize(tournament(3)), complete(2)) is None
     assert isinstance(hom_exists(symmetrize(tournament(3)), complete(3)), Hom)
+
+
+def _oriented_graph(seed, n, m):
+    """m distinct random edges on n vertices, each given a random direction."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return make_digraph(n, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in sorted(edges)])
+
+
+def _oriented_tree(seed, n):
+    """Random recursive tree: vertex i hangs off a uniform earlier vertex."""
+    rng = random.Random(seed)
+    arcs = []
+    for i in range(1, n):
+        j = rng.randrange(i)
+        arcs.append((i, j) if rng.random() < 0.5 else (j, i))
+    return make_digraph(n, arcs)
+
+
+# Node counts (values tried) and witnesses of the search tree: a change to the
+# variable or value order, or to the propagation at each node, moves them.
+PINNED_SEARCHES = {
+    # 10 of the 31 values tried wipe out under arc consistency
+    "sparse-into-K3": (
+        lambda: (_oriented_graph(39, 60, 138), complete(3)),
+        31,
+        (2, 1, 2, 2, 0, 2, 1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 0, 2, 2, 1, 0, 2, 0, 1, 0, 0, 0, 2, 0, 1,
+         2, 0, 1, 1, 2, 2, 1, 0, 0, 0, 0, 1, 2, 2, 1, 1, 2, 2, 1, 2, 0, 2, 0, 0, 1, 0, 0, 1, 2, 2),
+    ),
+    "tree-into-C5": (
+        lambda: (_oriented_tree(0, 40), circular_complete(5, 2)),
+        40,
+        (0, 2, 0, 2, 2, 2, 0, 2, 0, 0, 2, 2, 0, 0, 0, 2, 2, 2, 0, 0, 0, 2, 2, 0, 2, 0, 0, 2, 2, 2,
+         2, 2, 2, 0, 2, 0, 0, 2, 0, 0),
+    ),
+    # the budget holds per factor; the C5 factor needs 14 nodes, K3 12
+    "product-K3xC5": (
+        lambda: (_oriented_graph(4, 14, 15), ProductSpec((complete(3), circular_complete(5, 2)))),
+        14,
+        ((1, 0, 1, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 0), (2, 0, 2, 0, 2, 0, 0, 2, 2, 0, 2, 2, 0, 0)),
+    ),
+    "C7-into-C5-refuted": (lambda: (_directed_cycle(7), _directed_cycle(5)), 5, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SEARCHES))
+def test_search_tree_is_pinned_at_the_budget_boundary(case):
+    build, nodes, expected = PINNED_SEARCHES[case]
+    g, h = build()
+    w = hom_exists(g, h, budget=nodes)
+    if expected is None:
+        assert w is None
+    elif isinstance(w, ProductHom):
+        assert tuple(f.map for f in w.factor_homs) == expected
+    else:
+        assert w.map == expected
+    assert hom_exists(g, h, budget=nodes - 1) is BUDGET_EXCEEDED
+
+
+def test_deep_tree_needs_no_recursion():
+    # a search that recursed once per source vertex hit the default limit here
+    limit = sys.getrecursionlimit()
+    g = _oriented_tree(1300, 1300)
+    c5 = circular_complete(5, 2)
+    w = hom_exists(g, c5)
+    assert isinstance(w, Hom) and validate_hom(w, g, c5)
+    assert sys.getrecursionlimit() == limit
