@@ -94,8 +94,6 @@ def _decide_colourable(masks: list[int], k: int) -> Optional[list[int]]:
     colours = [-1] * n
     sat = [0] * n
     degs = [m.bit_count() for m in masks]
-    if sys.getrecursionlimit() < n + 128:
-        sys.setrecursionlimit(n + 256)
 
     def assign(done: int, used: int) -> bool:
         if done == n:
@@ -121,7 +119,13 @@ def _decide_colourable(masks: list[int], k: int) -> Optional[list[int]]:
                 sat[v] &= ~(1 << c)
         return False
 
-    return colours if assign(0, 0) else None
+    old_limit = sys.getrecursionlimit()
+    if old_limit < n + 128:
+        sys.setrecursionlimit(n + 256)
+    try:
+        return colours if assign(0, 0) else None
+    finally:
+        sys.setrecursionlimit(old_limit)
 
 
 def chromatic_number(g: Digraph, limit: Optional[int] = None) -> ColouringResult:

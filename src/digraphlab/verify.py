@@ -385,14 +385,16 @@ def verify_finobs_exhaustive(
     n: int, k: int, max_vertices: int = 3, budget: int = DEFAULT_BUDGET
 ) -> VerifyReport:
     t0 = time.perf_counter()
+    params = {"n": n, "k": k, "max_vertices": max_vertices}
     failures = []
     checked = 0
     for g in all_digraphs(max_vertices, loops=True):
         rep = verify_finobs(g, n, k, budget)
+        if rep.verdict == INDETERMINATE:
+            return _finish("finobs-exhaustive", params, INDETERMINATE, rep.witnesses, None, t0)
         checked += 1
         if not rep.passed:
             failures.append({"graph": to_json_dict(g), "witnesses": rep.witnesses})
-    params = {"n": n, "k": k, "max_vertices": max_vertices}
     witnesses = {"checked": checked, "failures": failures}
     return _finish("finobs-exhaustive", params, PASS if not failures else FAIL, witnesses, None, t0)
 
@@ -557,6 +559,7 @@ def verify_mulpath_sweep(
     budget: int = DEFAULT_BUDGET,
 ) -> VerifyReport:
     t0 = time.perf_counter()
+    params = {"samples": samples, "max_vertices": max_vertices, "max_n": max_n}
     rng = random.Random(seed)
     failures = []
     for i in range(samples):
@@ -564,9 +567,10 @@ def verify_mulpath_sweep(
         g2 = random_digraph(rng, rng.randint(1, max_vertices), rng.uniform(0.2, 0.7))
         n = rng.randint(1, max_n)
         rep = verify_mulpath([g1, g2], n, budget)
+        if rep.verdict == INDETERMINATE:
+            return _finish("mulpath-sweep", params, INDETERMINATE, rep.witnesses, seed, t0)
         if not rep.passed:
             failures.append({"index": i, "params": rep.params, "witnesses": rep.witnesses})
-    params = {"samples": samples, "max_vertices": max_vertices, "max_n": max_n}
     witnesses = {"checked": samples, "failures": failures}
     return _finish("mulpath-sweep", params, PASS if not failures else FAIL, witnesses, seed, t0)
 
@@ -606,15 +610,17 @@ def verify_hompath_sweep(
     budget: int = DEFAULT_BUDGET,
 ) -> VerifyReport:
     t0 = time.perf_counter()
+    params = {"samples": samples, "max_vertices": max_vertices, "max_n": max_n}
     rng = random.Random(seed)
     failures = []
     for i in range(samples):
         g = random_digraph(rng, rng.randint(1, max_vertices), rng.uniform(0.2, 0.7))
         n = rng.randint(1, max_n)
         rep = verify_hompath(g, n, budget)
+        if rep.verdict == INDETERMINATE:
+            return _finish("hompath-sweep", params, INDETERMINATE, rep.witnesses, seed, t0)
         if not rep.passed:
             failures.append({"index": i, "params": rep.params, "witnesses": rep.witnesses})
-    params = {"samples": samples, "max_vertices": max_vertices, "max_n": max_n}
     witnesses = {"checked": samples, "failures": failures}
     return _finish("hompath-sweep", params, PASS if not failures else FAIL, witnesses, seed, t0)
 
@@ -905,18 +911,20 @@ def verify_oracle_equivalence(
 ) -> VerifyReport:
     """Search engine agrees with exhaustive enumeration on random pairs."""
     t0 = time.perf_counter()
+    params = {"samples": samples, "max_vertices": max_vertices}
     rng = random.Random(seed)
     failures = []
     for i in range(samples):
         g = random_digraph(rng, rng.randint(0, max_vertices), rng.uniform(0.15, 0.8), loop_p=0.1)
         h = random_digraph(rng, rng.randint(0, max_vertices), rng.uniform(0.15, 0.8), loop_p=0.1)
         fast = hom_exists(g, h, budget)
+        if fast is BUDGET_EXCEEDED:
+            return _finish("oracle-equivalence", params, INDETERMINATE, {"budget": budget}, seed, t0)
         slow = brute_force_hom(g, h)
-        if fast is BUDGET_EXCEEDED or (fast is not None) != (slow is not None):
+        if (fast is not None) != (slow is not None):
             failures.append({"index": i, "g": to_json_dict(g), "h": to_json_dict(h)})
         elif fast is not None and not validate_hom(fast, g, h):
             failures.append({"index": i, "g": to_json_dict(g), "h": to_json_dict(h), "bad_witness": True})
-    params = {"samples": samples, "max_vertices": max_vertices}
     witnesses = {"checked": samples, "failures": failures}
     return _finish("oracle-equivalence", params, PASS if not failures else FAIL, witnesses, seed, t0)
 

@@ -154,6 +154,12 @@ def test_hom_budget_exceeded_exit(tmp_path, capsys):
     assert code == 2 and json.loads(out)["result"] == "budget_exceeded"
 
 
+@pytest.mark.parametrize("claim", ["finobs", "mulpath", "hompath"])
+def test_verify_budget_exhaustion_exits_two(capsys, claim):
+    code, out, _ = run(capsys, "verify", "--claim", claim, "--n", "3", "--k", "2", "--budget", "1", "--json")
+    assert code == 2 and json.loads(out)["verdict"] == "INDETERMINATE"
+
+
 def test_verify_all_quick(capsys):
     code, out, _ = run(capsys, "verify-all", "--profile", "quick", "--workers", "1")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -131,3 +132,11 @@ def test_odd_cycle_needs_three():
     c5 = symmetrize(make_digraph(5, [(i, (i + 1) % 5) for i in range(5)]))
     res = chromatic_number(c5)
     assert res.chi == 3 and res.lower_bound_cert is None
+
+
+def test_long_odd_cycle_leaves_recursion_limit_unchanged():
+    n = 1501
+    cycle = make_digraph(n, [(i, (i + 1) % n) for i in range(n)])
+    before = sys.getrecursionlimit()
+    assert chromatic_number(cycle).chi == 3
+    assert sys.getrecursionlimit() == before

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 import sys
@@ -81,6 +82,29 @@ def test_brute_force_k1_to_anything():
 def test_brute_force_guard():
     with pytest.raises(SizeLimitExceeded):
         brute_force_hom(complete(9), complete(9))
+
+
+def _reference_enumeration(g, h):
+    """First map in itertools.product order that keeps every arc."""
+    for assignment in itertools.product(range(h.n), repeat=g.n):
+        if all((assignment[u], assignment[v]) in h.arc_set for u, v in g.arcs):
+            return Hom(assignment, g.name, h.name)
+    return None
+
+
+def test_brute_force_is_the_least_hom_of_plain_enumeration():
+    rng = random.Random(31)
+    for _ in range(600):
+        g = random_digraph(rng, rng.randint(0, 5), rng.uniform(0.05, 0.8), loop_p=rng.choice([0.0, 0.2]))
+        h = random_digraph(rng, rng.randint(0, 4), rng.uniform(0.1, 0.9), loop_p=rng.choice([0.0, 0.3]))
+        assert brute_force_hom(g, h) == _reference_enumeration(g, h), (g.arcs, h.arcs)
+
+
+def test_brute_force_needs_no_recursion():
+    looped_vertex = make_digraph(1, [(0, 0)])
+    w = brute_force_hom(path(5000), looped_vertex)
+    assert sys.getrecursionlimit() < 5000
+    assert isinstance(w, Hom) and w.map == (0,) * 5001
 
 
 def _directed_cycle(n):

@@ -317,3 +317,18 @@ def test_equivalence_verifiers_agree_with_enumeration():
         h = V.random_digraph(rng, rng.randint(1, 3), rng.uniform(0.2, 0.7))
         assert V.verify_mulpath([g, h], 2).passed
         assert V.verify_adjunction(g, h, 2).passed
+
+
+@pytest.mark.parametrize(
+    "verifier, kwargs",
+    [
+        (V.verify_finobs_exhaustive, {"n": 3, "k": 2}),
+        (V.verify_mulpath_sweep, {}),
+        (V.verify_hompath_sweep, {}),
+        (V.verify_oracle_equivalence, {}),
+    ],
+)
+def test_exhausted_budget_is_indeterminate(verifier, kwargs):
+    rep = verifier(budget=1, **kwargs)
+    assert rep.verdict == V.INDETERMINATE
+    assert rep.witnesses == {"budget": 1}
