@@ -185,3 +185,67 @@ def test_fail_verdict_maps_to_exit_one(capsys):
     assert _report_out(args, report) == 1
     out = capsys.readouterr().out
     assert "[FAIL] probe" in out and "counterexample" in out
+
+
+def _graph_files(tmp_path):
+    from digraphlab import complete, make_digraph, path, to_json
+
+    graphs = {
+        "t4": tournament(4),
+        "t5": tournament(5),
+        "k4": complete(4),
+        "p1": path(1),
+        "p2": path(2),
+        "p3": path(3),
+        "c3": make_digraph(3, [(0, 1), (1, 2), (2, 0)]),
+    }
+    for name, g in graphs.items():
+        (tmp_path / f"{name}.json").write_text(to_json(g))
+    return lambda name: str(tmp_path / f"{name}.json")
+
+
+#: `verify ... --json` argv ("@name" is a graph file) -> sha256 of stdout,
+#: taken before the verifiers shared one registry and one sweep helper.
+VERIFY_CLI_DIGESTS = {
+    "--claim gencol --samples 5":
+        "ef3bdcdb5ec04f6e6e15682a6d9244e4213f9aea3459d11bed048fe1aa4e4f10",
+    "--claim gencol --input @t4":
+        "952f824c256f28d0cea91972708de3c2dac85d01c7de8b4021078a6447bd4208",
+    "--claim adjunction --samples 5":
+        "f0e945539b378e4d2699c3e9ad45214447724c9efdb174c6ef328b33207d0545",
+    "--claim adjunction --source @p1 --target @t4":
+        "5438bc5dc566ed07afced41f9822096d3ee19e6350cf16728578f3e6b8e233eb",
+    "--claim finobs --n 3 --k 2 --max-vertices 2":
+        "316de75e1274c67d315443158430513adc9ea46a35795bb0bbb1c1e13e8c6483",
+    "--claim finobs --input @t5 --n 4 --k 2":
+        "5a2c5f9e9e588d9a75f02b87a0bf4ee8a3df88b54fec01d79c6a7b0d71d8be2d",
+    "--claim minty --input @k4 --c 3 --k 2":
+        "24c16e988788d84902e74e94bd1d348d56435c0af2db1a0d6399277e20c208d2",
+    "--claim duality-tree --max-tree-arcs 2 --max-vertices 2":
+        "4b422beb91a335e8a20464a9857620e77e4953f9a17ec464d82e4b8b18c15ba3",
+    "--claim duality-tree --tree @p2":
+        "e64a46d2b1e4cd6c59f1c455ba364b25672a0b78b780bfc90e49ff50bd5ef835",
+    "--claim inadprod --n 3 --k 1":
+        "633a92e6ec3da02968f7eceb70cc1f8b712abf86d5459dd2e0353cc43961ce08",
+    "--claim mulpath --samples 3":
+        "0ff9e0a798d7a03e582ad670a646ba56c0f5c9e74905582c861d5ed4fb3f30a3",
+    "--claim mulpath --factors @p2 @p3 --n 2":
+        "1bfb81c61dfd9269d2e12a640616d7f4445c2c3b5cb5a55641e6173c30c087c2",
+    "--claim hompath --samples 3 --seed 5":
+        "879692c352c84e516d8c74eed10801e8a391b66f4112ac7775181d801e4d3a2c",
+    "--claim hompath --input @c3 --n 1":
+        "8279f11d8ada42a52135bfb399e8fae5f4126b9de1f87fe5933c5b51ca48a250",
+    "--claim yz-both-ways --n 4 --k 2":
+        "6930ad39f9498a33684eb7ad5d85bfc6562d076cf03f28c3305e21fc10b985f0",
+}
+
+
+@pytest.mark.parametrize("argv", VERIFY_CLI_DIGESTS)
+def test_verify_cli_bytes_are_pinned(tmp_path, capsys, argv):
+    import hashlib
+
+    file_of = _graph_files(tmp_path)
+    args = [file_of(a[1:]) if a.startswith("@") else a for a in argv.split()]
+    code, out, _ = run(capsys, "verify", *args, "--json")
+    assert code == 0 and json.loads(out)["verdict"] == "PASS"
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_CLI_DIGESTS[argv]
