@@ -11,6 +11,7 @@ Exit codes: 0 success or PASS, 1 FAIL (counterexample found), 2 indeterminate
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -157,95 +158,58 @@ def cmd_chi(args) -> int:
     return EXIT_PASS
 
 
+#: claim -> (instance verifier, sweep verifier or None, graph parameter ->
+#: the flag naming its file).  The instance verifier runs when one of the
+#: claim's graph files is given or there is no sweep.
+CLAIMS = {
+    "gencol": ("gencol", "gencol-sweep", {"g": "input"}),
+    "adjunction": ("adjunction", "adjunction-sweep", {"g": "source", "h": "target"}),
+    "finobs": ("finobs", "finobs-exhaustive", {"g": "input"}),
+    "minty": ("minty", None, {"g": "input"}),
+    "duality-tree": ("duality-tree", "duality-tree-exhaustive", {"t": "tree"}),
+    "inadprod": ("inadprod", None, {}),
+    "mulpath": ("mulpath", "mulpath-sweep", {"factors": "factors"}),
+    "hompath": ("hompath", "hompath-sweep", {"g": "input"}),
+    "yz-both-ways": ("yz-both-ways", None, {}),
+}
+
+#: Verifier parameter -> (the flag that sets it, conversion of the flag's
+#: value), for parameters not named after their flag.
+_SET_BY = {
+    "max_source_vertices": ("max_vertices", None),
+    "sources": ("max_vertices", lambda m: list(V.all_digraphs(m))),
+    "consequence_samples": ("check_consequence", None),
+}
+
+
 def cmd_verify(args) -> int:
-    claim = args.claim
-    budget = args.budget
-    if claim == "gencol":
-        if args.input:
-            report = V.verify_gencol(_load(args.input), args.k or 2)
-        else:
-            report = V.verify_gencol_sweep(
-                samples=args.samples or 100,
-                max_vertices=args.max_vertices or 5,
-                k=args.k or 2,
-                seed=args.seed if args.seed is not None else 20103,
-            )
-    elif claim == "adjunction":
-        if args.source and args.target:
-            report = V.verify_adjunction(_load(args.source), _load(args.target), args.k or 2, budget)
-        else:
-            report = V.verify_adjunction_sweep(
-                samples=args.samples or 200,
-                max_vertices=args.max_vertices or 4,
-                seed=args.seed if args.seed is not None else 20104,
-                budget=budget,
-            )
-    elif claim == "finobs":
-        if args.input:
-            report = V.verify_finobs(_load(args.input), _req_opt(args, "n"), _req_opt(args, "k"), budget)
-        else:
-            report = V.verify_finobs_exhaustive(
-                _req_opt(args, "n"), _req_opt(args, "k"), args.max_vertices or 3, budget
-            )
-    elif claim == "minty":
-        report = V.verify_minty(_load_req(args, "input"), _req_opt(args, "c"), _req_opt(args, "k"), budget)
-    elif claim == "duality-tree":
-        if args.tree:
-            tree = _load(args.tree)
-            sources = list(V.all_digraphs(args.max_vertices or 3))
-            report = V.verify_duality_tree(tree, sources, budget)
-        else:
-            report = V.verify_duality_tree_exhaustive(
-                args.max_tree_arcs or 4, args.max_vertices or 3, budget
-            )
-    elif claim == "inadprod":
-        report = V.verify_inadprod(_req_opt(args, "n"), _req_opt(args, "k"), budget)
-    elif claim == "mulpath":
-        if args.factors:
-            report = V.verify_mulpath([_load(f) for f in args.factors], _req_opt(args, "n"), budget)
-        else:
-            report = V.verify_mulpath_sweep(
-                samples=args.samples or 50,
-                seed=args.seed if args.seed is not None else 20108,
-                budget=budget,
-            )
-    elif claim == "hompath":
-        if args.input:
-            report = V.verify_hompath(_load(args.input), _req_opt(args, "n"), budget)
-        else:
-            report = V.verify_hompath_sweep(
-                samples=args.samples or 50,
-                seed=args.seed if args.seed is not None else 20109,
-                budget=budget,
-            )
-    elif claim == "yz-both-ways":
-        report = V.verify_yz(_req_opt(args, "n"), _req_opt(args, "k"), budget)
-    else:  # pragma: no cover
-        raise ConstructionError(f"unknown claim {claim}")
-    return _report_out(args, report)
+    instance, sweep, files = CLAIMS[args.claim]
+    given = any(getattr(args, flag) for flag in files.values())
+    fn = V.REGISTRY[instance if given or sweep is None else sweep]
+    return _report_out(args, _run_verifier(fn, args, files))
 
 
-def _req_opt(args, name: str) -> int:
-    val = getattr(args, name, None)
-    if val is None:
-        raise ConstructionError(f"--{name} is required for this claim")
-    return val
+def _run_verifier(fn, args, files: dict) -> V.VerifyReport:
+    """fn called with every flag the user set that it takes; `files` maps its
+    graph parameters to the flags naming their files."""
+    set_by = {**_SET_BY, **{name: (flag, _load_graphs) for name, flag in files.items()}}
+    kwargs = {}
+    for name, param in inspect.signature(fn).parameters.items():
+        flag, convert = set_by.get(name, (name, None))
+        value = getattr(args, flag, None)
+        if value is not None:
+            kwargs[name] = convert(value) if convert else value
+        elif param.default is param.empty:
+            raise ConstructionError(f"--{flag.replace('_', '-')} is required for this claim")
+    return fn(**kwargs)
 
 
-def _load_req(args, name: str) -> Digraph:
-    val = getattr(args, name, None)
-    if val is None:
-        raise ConstructionError(f"--{name} is required for this claim")
-    return _load(val)
+def _load_graphs(paths):
+    return [_load(f) for f in paths] if isinstance(paths, list) else _load(paths)
 
 
 def cmd_find_steep_path(args) -> int:
-    report = V.verify_steep_path(
-        ell=args.ell,
-        consequence_samples=args.check_consequence,
-        seed=args.seed if args.seed is not None else 20107,
-        budget=args.budget,
-    )
+    report = _run_verifier(V.verify_steep_path, args, {})
     if args.json:
         return _report_out(args, report)
     print(report.witnesses["path"])
@@ -332,21 +296,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_chi)
 
     p = sub.add_parser("verify", help="run one claim verifier")
-    p.add_argument(
-        "--claim",
-        required=True,
-        choices=[
-            "gencol",
-            "adjunction",
-            "finobs",
-            "minty",
-            "duality-tree",
-            "inadprod",
-            "mulpath",
-            "hompath",
-            "yz-both-ways",
-        ],
-    )
+    p.add_argument("--claim", required=True, choices=list(CLAIMS))
     p.add_argument("--input")
     p.add_argument("--source")
     p.add_argument("--target")
@@ -359,7 +309,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-vertices", type=int, dest="max_vertices")
     p.add_argument("--max-tree-arcs", type=int, dest="max_tree_arcs")
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true", help="include timing_ms in JSON output")
     p.set_defaults(fn=cmd_verify)
@@ -369,7 +319,7 @@ def build_parser() -> _Parser:
     p.add_argument("--check-consequence", type=int, default=0, metavar="N",
                    help="also check N random targets of chromatic number >= 4")
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=cmd_find_steep_path)

@@ -90,9 +90,6 @@ class Digraph:
     def rename(self, name: Optional[str]) -> "Digraph":
         return Digraph(self.n, self.arcs, name, self.labels)
 
-    def label_of(self, v: int):
-        return self.labels[v] if self.labels is not None else v
-
 
 def make_digraph(
     n: int,

@@ -61,12 +61,6 @@ class ProductSpec:
         for combo in iter_product(*(f.arcs for f in self.factors)):
             yield tuple(a[0] for a in combo), tuple(a[1] for a in combo)
 
-    def out_neighbors(self, u: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        yield from iter_product(*(sorted(f.out_sets[c]) for f, c in zip(self.factors, u)))
-
-    def in_neighbors(self, u: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        yield from iter_product(*(sorted(f.in_sets[c]) for f, c in zip(self.factors, u)))
-
     def materialize(self) -> Digraph:
         if self.materialized is not None:
             return self.materialized
@@ -108,8 +102,5 @@ class ProductHom:
         return all(
             validate_hom(h, g, f) for h, f in zip(self.factor_homs, spec.factors)
         ) and all(
-            self.has_tuple_arc(spec, u, v) for u, v in g.arcs
+            spec.has_arc(self.tuple_map(u), self.tuple_map(v)) for u, v in g.arcs
         )
-
-    def has_tuple_arc(self, spec: ProductSpec, u: int, v: int) -> bool:
-        return spec.has_arc(self.tuple_map(u), self.tuple_map(v))

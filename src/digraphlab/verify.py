@@ -8,12 +8,14 @@ seeded generator recorded in the report.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from dataclasses import dataclass, field, replace
+from functools import wraps
 from itertools import permutations, product as iter_product
 from math import ceil
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .coloring import check_colouring, chromatic_number
 from .constructions import (
@@ -87,9 +89,60 @@ class VerifyReport:
         return d
 
 
-def _finish(claim, params, verdict, witnesses, seed, t0) -> VerifyReport:
-    ms = (time.perf_counter() - t0) * 1000.0
-    return VerifyReport(claim, params, verdict, witnesses, seed, round(ms, 3))
+#: What a registered check returns: (params, verdict, witnesses).
+Outcome = tuple[dict, str, dict]
+
+#: Claim name -> verifier, for `run_job` and the `verify` CLI.
+REGISTRY: dict[str, Callable[..., VerifyReport]] = {}
+
+
+def verifier(claim: str) -> Callable[[Callable[..., Outcome]], Callable[..., VerifyReport]]:
+    """Register a check under its claim name and make it return a VerifyReport.
+
+    The report carries the claim, the check's `seed` argument when it takes
+    one (else None), and timing_ms, the check's wall time.
+    """
+
+    def register(check: Callable[..., Outcome]) -> Callable[..., VerifyReport]:
+        signature = inspect.signature(check)
+
+        @wraps(check)
+        def run(*args, **kwargs) -> VerifyReport:
+            start = time.perf_counter()
+            params, verdict, witnesses = check(*args, **kwargs)
+            ms = (time.perf_counter() - start) * 1000.0
+            seed = None
+            if "seed" in signature.parameters:
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                seed = bound.arguments["seed"]
+            return VerifyReport(claim, params, verdict, witnesses, seed, round(ms, 3))
+
+        REGISTRY[claim] = run
+        return run
+
+    return register
+
+
+def _sweep(reports: Iterable[VerifyReport]) -> tuple[str, dict]:
+    """Verdict and witnesses of sub-checks run in order.
+
+    The sweep stops at the first INDETERMINATE report, and FAIL >
+    INDETERMINATE > PASS: a failure recorded before the stop makes it FAIL,
+    else it takes that report's witnesses.  A failure is kept as its index,
+    params and witnesses.
+    """
+    failures = []
+    checked = 0
+    for i, rep in enumerate(reports):
+        if rep.verdict == INDETERMINATE:
+            if not failures:
+                return INDETERMINATE, rep.witnesses
+            return FAIL, {"checked": checked, "failures": failures, "stopped_by": rep.witnesses}
+        checked += 1
+        if rep.verdict == FAIL:
+            failures.append({"index": i, "params": rep.params, "witnesses": rep.witnesses})
+    return (FAIL if failures else PASS), {"checked": checked, "failures": failures}
 
 
 def _hom_json(h: Hom) -> list[int]:
@@ -178,14 +231,14 @@ def oriented_trees(max_arcs: int) -> list[Digraph]:
 # --- interleaving bounds ------------------------------------------------------
 
 
-def verify_gencol(g: Digraph, k: int = 2) -> VerifyReport:
+@verifier("gencol")
+def verify_gencol(g: Digraph, k: int = 2) -> Outcome:
     """Chromatic sandwich for the k-tuple adjoint, with both witness maps.
 
     Checks chi(iterated arc graph, 2k-2 times) <= chi(k-tuple adjoint)
     <= chi(g), validating the even-coordinate projection into the adjoint and
     the first-coordinate projection out of it.
     """
-    t0 = time.perf_counter()
     params = {"graph": to_json_dict(g), "k": k}
     m = 2 * k - 2
     if m == 0:
@@ -219,33 +272,28 @@ def verify_gencol(g: Digraph, k: int = 2) -> VerifyReport:
         "lower_tight": chi_delta == chi_iota,
         "upper_tight": chi_iota == chi_g,
     }
-    return _finish("gencol", params, verdict, witnesses, None, t0)
+    return params, verdict, witnesses
 
 
+@verifier("gencol-sweep")
 def verify_gencol_sweep(
     samples: int = 100,
     max_vertices: int = 5,
     k: int = 2,
     seed: int = 20103,
-) -> VerifyReport:
-    t0 = time.perf_counter()
+) -> Outcome:
     rng = random.Random(seed)
-    failures = []
-    for i in range(samples):
-        n = rng.randint(1, max_vertices)
-        g = random_digraph(rng, n, rng.uniform(0.15, 0.6))
-        rep = verify_gencol(g, k)
-        if not rep.passed:
-            failures.append({"index": i, "graph": to_json_dict(g), "witnesses": rep.witnesses})
-    params = {"samples": samples, "max_vertices": max_vertices, "k": k}
-    witnesses = {"checked": samples, "failures": failures}
-    return _finish("gencol-sweep", params, PASS if not failures else FAIL, witnesses, seed, t0)
+    reports = (
+        verify_gencol(random_digraph(rng, rng.randint(1, max_vertices), rng.uniform(0.15, 0.6)), k)
+        for _ in range(samples)
+    )
+    return {"samples": samples, "max_vertices": max_vertices, "k": k}, *_sweep(reports)
 
 
-def verify_gencol_tightness() -> VerifyReport:
+@verifier("gencol-tightness")
+def verify_gencol_tightness() -> Outcome:
     """Both ends of the sandwich are attained: symmetric graphs upstairs,
     arc graphs downstairs."""
-    t0 = time.perf_counter()
     sym_case = verify_gencol(complete(3), k=2)
     upper_ok = sym_case.passed and sym_case.witnesses["upper_tight"]
     diag = Hom(tuple(u * 3 + u for u in range(3)))
@@ -261,23 +309,23 @@ def verify_gencol_tightness() -> VerifyReport:
         "diagonal_hom_valid": diag_ok,
         "arc_graph_case": low_case.witnesses,
     }
-    return _finish("gencol-tightness", {"k": 2}, verdict, witnesses, None, t0)
+    return {"k": 2}, verdict, witnesses
 
 
 # --- adjoint pair -------------------------------------------------------------
 
 
-def verify_adjunction(g: Digraph, h: Digraph, k: int, budget: int = DEFAULT_BUDGET) -> VerifyReport:
+@verifier("adjunction")
+def verify_adjunction(g: Digraph, h: Digraph, k: int = 2, budget: int = DEFAULT_BUDGET) -> Outcome:
     """Hom into the k-tuple adjoint of h agrees with hom out of the k-copy
     expansion of g, and each witness converts to the other side."""
-    t0 = time.perf_counter()
     params = {"source": to_json_dict(g), "target": to_json_dict(h), "k": k}
     iota_h = interleaved_adjoint(h, k)
     istar_g = inverse_interleaved_adjoint(g, k)
     r1 = hom_exists(g, iota_h, budget)
     r2 = hom_exists(istar_g, h, budget)
     if r1 is BUDGET_EXCEEDED or r2 is BUDGET_EXCEEDED:
-        return _finish("adjunction", params, INDETERMINATE, {"budget": budget}, None, t0)
+        return params, INDETERMINATE, {"budget": budget}
 
     agree = (r1 is not None) == (r2 is not None)
     witnesses: dict = {"into_adjoint": r1 is not None, "out_of_expansion": r2 is not None}
@@ -298,17 +346,20 @@ def verify_adjunction(g: Digraph, h: Digraph, k: int, budget: int = DEFAULT_BUDG
         witnesses["bundle_witness_valid"] = validate_hom(conv2, g, iota_h)
         witnesses["hom_out_of_expansion"] = _hom_json(r2)
         ok = ok and witnesses["bundle_witness_valid"]
-    return _finish("adjunction", params, PASS if ok else FAIL, witnesses, None, t0)
+    return params, PASS if ok else FAIL, witnesses
 
 
+@verifier("adjunction-sweep")
 def verify_adjunction_sweep(
     samples: int = 200,
     max_vertices: int = 4,
     max_k: int = 3,
     seed: int = 20104,
     budget: int = DEFAULT_BUDGET,
-) -> VerifyReport:
-    t0 = time.perf_counter()
+) -> Outcome:
+    """The adjunction on random pairs.  An INDETERMINATE sample is counted
+    and skipped, so the other samples are still checked; FAIL >
+    INDETERMINATE > PASS."""
     rng = random.Random(seed)
     failures = []
     indeterminate = 0
@@ -324,7 +375,7 @@ def verify_adjunction_sweep(
     params = {"samples": samples, "max_vertices": max_vertices, "max_k": max_k}
     witnesses = {"checked": samples, "failures": failures, "indeterminate": indeterminate}
     verdict = FAIL if failures else (INDETERMINATE if indeterminate else PASS)
-    return _finish("adjunction-sweep", params, verdict, witnesses, seed, t0)
+    return params, verdict, witnesses
 
 
 # --- finite obstruction sets --------------------------------------------------
@@ -343,15 +394,15 @@ def _finobs_lift(p: OrientedPath, phi: Hom, g: Digraph, k: int) -> bool:
     return validate_hom(lift, path(p.n_arcs), istar)
 
 
-def verify_finobs(g: Digraph, n: int, k: int, budget: int = DEFAULT_BUDGET) -> VerifyReport:
+@verifier("finobs")
+def verify_finobs(g: Digraph, n: int, k: int, budget: int = DEFAULT_BUDGET) -> Outcome:
     """No-hom into the adjoint of the n-tournament iff some path with < k
     reversals maps into g; a found path is lifted back as a sanity check."""
-    t0 = time.perf_counter()
     params = {"graph": to_json_dict(g), "n": n, "k": k}
     target = interleaved_adjoint(tournament(n), k)
     r = hom_exists(g, target, budget)
     if r is BUDGET_EXCEEDED:
-        return _finish("finobs", params, INDETERMINATE, {"budget": budget}, None, t0)
+        return params, INDETERMINATE, {"budget": budget}
     no_hom_to_adjoint = r is None
 
     family = path_family(n, k - 1)
@@ -359,7 +410,7 @@ def verify_finobs(g: Digraph, n: int, k: int, budget: int = DEFAULT_BUDGET) -> V
     for idx, p in enumerate(family.members):
         w = hom_exists(p.as_digraph(), g, budget)
         if w is BUDGET_EXCEEDED:
-            return _finish("finobs", params, INDETERMINATE, {"budget": budget}, None, t0)
+            return params, INDETERMINATE, {"budget": budget}
         if w is not None:
             found = (idx, p, w)
             break
@@ -378,31 +429,21 @@ def verify_finobs(g: Digraph, n: int, k: int, budget: int = DEFAULT_BUDGET) -> V
         ok = ok and witnesses["lift_valid"]
     if r is not None:
         witnesses["hom_to_adjoint"] = _hom_json(r)
-    return _finish("finobs", params, PASS if ok else FAIL, witnesses, None, t0)
+    return params, PASS if ok else FAIL, witnesses
 
 
+@verifier("finobs-exhaustive")
 def verify_finobs_exhaustive(
     n: int, k: int, max_vertices: int = 3, budget: int = DEFAULT_BUDGET
-) -> VerifyReport:
-    t0 = time.perf_counter()
-    params = {"n": n, "k": k, "max_vertices": max_vertices}
-    failures = []
-    checked = 0
-    for g in all_digraphs(max_vertices, loops=True):
-        rep = verify_finobs(g, n, k, budget)
-        if rep.verdict == INDETERMINATE:
-            return _finish("finobs-exhaustive", params, INDETERMINATE, rep.witnesses, None, t0)
-        checked += 1
-        if not rep.passed:
-            failures.append({"graph": to_json_dict(g), "witnesses": rep.witnesses})
-    witnesses = {"checked": checked, "failures": failures}
-    return _finish("finobs-exhaustive", params, PASS if not failures else FAIL, witnesses, None, t0)
+) -> Outcome:
+    reports = (verify_finobs(g, n, k, budget) for g in all_digraphs(max_vertices, loops=True))
+    return {"n": n, "k": k, "max_vertices": max_vertices}, *_sweep(reports)
 
 
-def verify_minty(g: Digraph, c: int, k: int, budget: int = DEFAULT_BUDGET) -> VerifyReport:
+@verifier("minty")
+def verify_minty(g: Digraph, c: int, k: int, budget: int = DEFAULT_BUDGET) -> Outcome:
     """Any digraph needing more than c colours receives a path with at most
     k-1 reversals out of the ck-arc family."""
-    t0 = time.perf_counter()
     chi = chromatic_number(g).chi
     if chi is None or chi <= c:
         raise ValueError(f"hypothesis needs chi(g) > c, got chi={chi}, c={c}")
@@ -411,21 +452,23 @@ def verify_minty(g: Digraph, c: int, k: int, budget: int = DEFAULT_BUDGET) -> Ve
     for p in family.members:
         w = hom_exists(p.as_digraph(), g, budget)
         if w is BUDGET_EXCEEDED:
-            return _finish("minty", params, INDETERMINATE, {"budget": budget}, None, t0)
+            return params, INDETERMINATE, {"budget": budget}
         if w is not None:
-            witnesses = {"path": p.dirs, "path_hom": _hom_json(w)}
-            return _finish("minty", params, PASS, witnesses, None, t0)
-    return _finish("minty", params, FAIL, {"family_size": len(family)}, None, t0)
+            return params, PASS, {"path": p.dirs, "path_hom": _hom_json(w)}
+    return params, FAIL, {"family_size": len(family)}
 
 
 # --- tree duality -------------------------------------------------------------
 
 
+@verifier("duality-tree")
 def verify_duality_tree(
-    t: Digraph, sources: Iterable[Digraph], budget: int = DEFAULT_BUDGET
-) -> VerifyReport:
-    """hom(G, dual(T)) iff not hom(T, G), over the given source sample."""
-    t0 = time.perf_counter()
+    t: Digraph, sources: Optional[Iterable[Digraph]] = None, budget: int = DEFAULT_BUDGET
+) -> Outcome:
+    """hom(G, dual(T)) iff not hom(T, G), over the given source sample
+    (default: every digraph with at most 3 vertices)."""
+    if sources is None:
+        sources = all_digraphs(3, loops=True)
     dual = tree_dual(t)
     params = {"tree": to_json_dict(t), "dual_vertices": dual.n}
     failures = []
@@ -434,7 +477,7 @@ def verify_duality_tree(
         a = hom_exists(g, dual, budget)
         b = hom_exists(t, g, budget)
         if a is BUDGET_EXCEEDED or b is BUDGET_EXCEEDED:
-            return _finish("duality-tree", params, INDETERMINATE, {"budget": budget}, None, t0)
+            return params, INDETERMINATE, {"budget": budget}
         checked += 1
         if (a is not None) != (b is None):
             failures.append(
@@ -445,44 +488,31 @@ def verify_duality_tree(
                 }
             )
     witnesses = {"checked": checked, "failures": failures}
-    return _finish("duality-tree", params, PASS if not failures else FAIL, witnesses, None, t0)
+    return params, PASS if not failures else FAIL, witnesses
 
 
+@verifier("duality-tree-exhaustive")
 def verify_duality_tree_exhaustive(
     max_tree_arcs: int = 4, max_source_vertices: int = 3, budget: int = DEFAULT_BUDGET
-) -> VerifyReport:
+) -> Outcome:
     """Duality over every oriented tree (up to isomorphism) and every source
     digraph within the given sizes."""
-    t0 = time.perf_counter()
     sources = list(all_digraphs(max_source_vertices, loops=True))
-    failures = []
     trees = oriented_trees(max_tree_arcs)
-    for t in trees:
-        rep = verify_duality_tree(t, sources, budget)
-        if rep.verdict == INDETERMINATE:
-            return _finish(
-                "duality-tree-exhaustive",
-                {"max_tree_arcs": max_tree_arcs},
-                INDETERMINATE,
-                {"budget": budget},
-                None,
-                t0,
-            )
-        if not rep.passed:
-            failures.append({"tree": to_json_dict(t), "witnesses": rep.witnesses})
     params = {
         "max_tree_arcs": max_tree_arcs,
         "max_source_vertices": max_source_vertices,
         "trees": len(trees),
         "sources": len(sources),
     }
-    witnesses = {"failures": failures}
-    return _finish(
-        "duality-tree-exhaustive", params, PASS if not failures else FAIL, witnesses, None, t0
-    )
+    verdict, witnesses = _sweep(verify_duality_tree(t, sources, budget) for t in trees)
+    if verdict != INDETERMINATE:
+        del witnesses["checked"]  # the report lists only failures; params count the trees
+    return params, verdict, witnesses
 
 
-def verify_inadprod(n: int, k: int, budget: int = DEFAULT_BUDGET) -> VerifyReport:
+@verifier("inadprod")
+def verify_inadprod(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Outcome:
     """The adjoint of the n-tournament is hom-equivalent to the product of the
     duals of its obstruction paths.
 
@@ -491,7 +521,6 @@ def verify_inadprod(n: int, k: int, budget: int = DEFAULT_BUDGET) -> VerifyRepor
     into Q (so no obstruction embeds in the product, which forces the hom).
     The product itself is never materialized.
     """
-    t0 = time.perf_counter()
     params = {"n": n, "k": k}
     iota = interleaved_adjoint(tournament(n), k)
     family = path_family(n, k - 1)
@@ -501,10 +530,9 @@ def verify_inadprod(n: int, k: int, budget: int = DEFAULT_BUDGET) -> VerifyRepor
     for p, dual in zip(family.members, duals):
         w = hom_exists(iota, dual, budget)
         if w is BUDGET_EXCEEDED:
-            return _finish("inadprod", params, INDETERMINATE, {"budget": budget}, None, t0)
+            return params, INDETERMINATE, {"budget": budget}
         if w is None:
-            witnesses = {"missing_factor": p.dirs}
-            return _finish("inadprod", params, FAIL, witnesses, None, t0)
+            return params, FAIL, {"missing_factor": p.dirs}
         into.append({"factor": p.dirs, "hom": _hom_json(w)})
 
     covers = []
@@ -514,76 +542,71 @@ def verify_inadprod(n: int, k: int, budget: int = DEFAULT_BUDGET) -> VerifyRepor
         for p in family.members:
             w = hom_exists(p.as_digraph(), qd, budget)
             if w is BUDGET_EXCEEDED:
-                return _finish("inadprod", params, INDETERMINATE, {"budget": budget}, None, t0)
+                return params, INDETERMINATE, {"budget": budget}
             if w is not None:
                 hit = {"obstruction": q.dirs, "mapped_path": p.dirs, "hom": _hom_json(w)}
                 break
         if hit is None:
-            return _finish("inadprod", params, FAIL, {"uncovered": q.dirs}, None, t0)
+            return params, FAIL, {"uncovered": q.dirs}
         covers.append(hit)
-    witnesses = {"into_factors": into, "obstruction_covers": covers}
-    return _finish("inadprod", params, PASS, witnesses, None, t0)
+    return params, PASS, {"into_factors": into, "obstruction_covers": covers}
 
 
 # --- paths, products, algebraic length ----------------------------------------
 
 
-def verify_mulpath(factors: Sequence[Digraph], n: int, budget: int = DEFAULT_BUDGET) -> VerifyReport:
+@verifier("mulpath")
+def verify_mulpath(factors: Sequence[Digraph], n: int, budget: int = DEFAULT_BUDGET) -> Outcome:
     """A product maps to the n-arc forward path iff one factor does."""
-    t0 = time.perf_counter()
     params = {"factors": [to_json_dict(f) for f in factors], "n": n}
     spec = categorical_product(factors)
     try:
         prod = spec.materialize()
     except SizeLimitExceeded as e:
-        return _finish("mulpath", params, INDETERMINATE, {"guard": str(e)}, None, t0)
+        return params, INDETERMINATE, {"guard": str(e)}
     target = path(n)
     lhs = hom_exists(prod, target, budget)
     rhs = [hom_exists(f, target, budget) for f in factors]
     if lhs is BUDGET_EXCEEDED or any(r is BUDGET_EXCEEDED for r in rhs):
-        return _finish("mulpath", params, INDETERMINATE, {"budget": budget}, None, t0)
+        return params, INDETERMINATE, {"budget": budget}
     product_maps = lhs is not None
     factor_maps = [r is not None for r in rhs]
     verdict = PASS if product_maps == any(factor_maps) else FAIL
     witnesses = {"product_maps": product_maps, "factor_maps": factor_maps}
     if lhs is not None:
         witnesses["product_hom"] = _hom_json(lhs)
-    return _finish("mulpath", params, verdict, witnesses, None, t0)
+    return params, verdict, witnesses
 
 
+@verifier("mulpath-sweep")
 def verify_mulpath_sweep(
     samples: int = 50,
     max_vertices: int = 4,
     max_n: int = 3,
     seed: int = 20108,
     budget: int = DEFAULT_BUDGET,
-) -> VerifyReport:
-    t0 = time.perf_counter()
-    params = {"samples": samples, "max_vertices": max_vertices, "max_n": max_n}
+) -> Outcome:
     rng = random.Random(seed)
-    failures = []
-    for i in range(samples):
-        g1 = random_digraph(rng, rng.randint(1, max_vertices), rng.uniform(0.2, 0.7))
-        g2 = random_digraph(rng, rng.randint(1, max_vertices), rng.uniform(0.2, 0.7))
-        n = rng.randint(1, max_n)
-        rep = verify_mulpath([g1, g2], n, budget)
-        if rep.verdict == INDETERMINATE:
-            return _finish("mulpath-sweep", params, INDETERMINATE, rep.witnesses, seed, t0)
-        if not rep.passed:
-            failures.append({"index": i, "params": rep.params, "witnesses": rep.witnesses})
-    witnesses = {"checked": samples, "failures": failures}
-    return _finish("mulpath-sweep", params, PASS if not failures else FAIL, witnesses, seed, t0)
+    reports = (
+        verify_mulpath(
+            [random_digraph(rng, rng.randint(1, max_vertices), rng.uniform(0.2, 0.7)) for _ in range(2)],
+            rng.randint(1, max_n),
+            budget,
+        )
+        for _ in range(samples)
+    )
+    return {"samples": samples, "max_vertices": max_vertices, "max_n": max_n}, *_sweep(reports)
 
 
-def verify_hompath(g: Digraph, n: int, budget: int = DEFAULT_BUDGET) -> VerifyReport:
+@verifier("hompath")
+def verify_hompath(g: Digraph, n: int, budget: int = DEFAULT_BUDGET) -> Outcome:
     """g maps to the n-arc forward path iff no oriented path of span n+1 maps
     into g; the path side runs as a layered walk search, which never needs
     more than |V|*(n+2) arcs."""
-    t0 = time.perf_counter()
     params = {"graph": to_json_dict(g), "n": n}
     r = hom_exists(g, path(n), budget)
     if r is BUDGET_EXCEEDED:
-        return _finish("hompath", params, INDETERMINATE, {"budget": budget}, None, t0)
+        return params, INDETERMINATE, {"budget": budget}
     walk = find_level_walk(g.n, g.arcs, n + 1)
     witnesses: dict = {"maps_to_path": r is not None, "steep_path_found": walk is not None}
     ok = (r is not None) == (walk is None)
@@ -599,30 +622,27 @@ def verify_hompath(g: Digraph, n: int, budget: int = DEFAULT_BUDGET) -> VerifyRe
         ok = ok and witnesses["witness_valid"]
     if r is not None:
         witnesses["hom_to_path"] = _hom_json(r)
-    return _finish("hompath", params, PASS if ok else FAIL, witnesses, None, t0)
+    return params, PASS if ok else FAIL, witnesses
 
 
+@verifier("hompath-sweep")
 def verify_hompath_sweep(
     samples: int = 50,
     max_vertices: int = 4,
     max_n: int = 3,
     seed: int = 20109,
     budget: int = DEFAULT_BUDGET,
-) -> VerifyReport:
-    t0 = time.perf_counter()
-    params = {"samples": samples, "max_vertices": max_vertices, "max_n": max_n}
+) -> Outcome:
     rng = random.Random(seed)
-    failures = []
-    for i in range(samples):
-        g = random_digraph(rng, rng.randint(1, max_vertices), rng.uniform(0.2, 0.7))
-        n = rng.randint(1, max_n)
-        rep = verify_hompath(g, n, budget)
-        if rep.verdict == INDETERMINATE:
-            return _finish("hompath-sweep", params, INDETERMINATE, rep.witnesses, seed, t0)
-        if not rep.passed:
-            failures.append({"index": i, "params": rep.params, "witnesses": rep.witnesses})
-    witnesses = {"checked": samples, "failures": failures}
-    return _finish("hompath-sweep", params, PASS if not failures else FAIL, witnesses, seed, t0)
+    reports = (
+        verify_hompath(
+            random_digraph(rng, rng.randint(1, max_vertices), rng.uniform(0.2, 0.7)),
+            rng.randint(1, max_n),
+            budget,
+        )
+        for _ in range(samples)
+    )
+    return {"samples": samples, "max_vertices": max_vertices, "max_n": max_n}, *_sweep(reports)
 
 
 # --- steep paths ---------------------------------------------------------------
@@ -691,15 +711,15 @@ def find_steep_path(ell: int) -> SteepPathResult:
     return SteepPathResult(ell, q, tuple(family.members), tuple(homs), tuples)
 
 
+@verifier("steep-path")
 def verify_steep_path(
     ell: int = 4,
     consequence_samples: int = 20,
     seed: int = 20107,
     budget: int = DEFAULT_BUDGET,
-) -> VerifyReport:
+) -> Outcome:
     """Find the steep path, validate its family homs and span, and check it
     maps into sample digraphs of chromatic number >= 4."""
-    t0 = time.perf_counter()
     params = {"ell": ell, "consequence_samples": consequence_samples}
     result = find_steep_path(ell)
     q = result.path
@@ -734,19 +754,19 @@ def verify_steep_path(
         for name, g in targets:
             w = hom_exists(qd, g, budget)
             if w is BUDGET_EXCEEDED:
-                return _finish("steep-path", params, INDETERMINATE, {"budget": budget}, seed, t0)
+                return params, INDETERMINATE, {"budget": budget}
             outcomes.append({"target": name, "hom_found": w is not None})
             ok = ok and w is not None
         witnesses["consequence"] = outcomes
-    return _finish("steep-path", params, PASS if ok else FAIL, witnesses, seed, t0)
+    return params, PASS if ok else FAIL, witnesses
 
 
+@verifier("steep-consequence")
 def verify_steep_consequence(
     result: SteepPathResult, graphs: Sequence[Digraph], budget: int = DEFAULT_BUDGET
-) -> VerifyReport:
+) -> Outcome:
     """The steep path maps into every supplied digraph of chromatic number
     >= 4 (lower-chromatic inputs are skipped: the claim says nothing there)."""
-    t0 = time.perf_counter()
     qd = result.path.as_digraph()
     params = {"ell": result.ell, "graphs": len(graphs)}
     outcomes = []
@@ -758,10 +778,10 @@ def verify_steep_consequence(
             continue
         w = hom_exists(qd, g, budget)
         if w is BUDGET_EXCEEDED:
-            return _finish("steep-consequence", params, INDETERMINATE, {"budget": budget}, None, t0)
+            return params, INDETERMINATE, {"budget": budget}
         outcomes.append({"graph": to_json_dict(g), "chi": chi, "hom_found": w is not None})
         ok = ok and w is not None
-    return _finish("steep-consequence", params, PASS if ok else FAIL, {"outcomes": outcomes}, None, t0)
+    return params, PASS if ok else FAIL, {"outcomes": outcomes}
 
 
 # --- multifactor probe ---------------------------------------------------------
@@ -821,24 +841,23 @@ def h_function(k: int, budget: int = DEFAULT_BUDGET) -> HFunctionResult:
     return HFunctionResult(k, best[0], best[1], tuple(rows))
 
 
-def verify_h_function(k: int, expected: Optional[int] = None, budget: int = DEFAULT_BUDGET) -> VerifyReport:
-    t0 = time.perf_counter()
+@verifier("h-function")
+def verify_h_function(k: int, expected: Optional[int] = None, budget: int = DEFAULT_BUDGET) -> Outcome:
     params = {"k": k, "expected": expected}
     result = h_function(k, budget)
     ok = all(row["cross_checked"] for row in result.rows)
     ok = ok and result.value <= 3 * k
     if expected is not None:
         ok = ok and result.value == expected
-    witnesses = result.to_json_dict()
-    return _finish("h-function", params, PASS if ok else FAIL, witnesses, None, t0)
+    return params, PASS if ok else FAIL, result.to_json_dict()
 
 
 # --- tournament adjoint chromatic table ----------------------------------------
 
 
-def verify_chick_table(max_k: int = 3, max_n: int = 8) -> VerifyReport:
+@verifier("chick-table")
+def verify_chick_table(max_k: int = 3, max_n: int = 8) -> Outcome:
     """chi of the k-tuple adjoint of the n-tournament equals ceil(n/k)."""
-    t0 = time.perf_counter()
     rows = []
     failures = []
     for k in range(1, max_k + 1):
@@ -850,7 +869,7 @@ def verify_chick_table(max_k: int = 3, max_n: int = 8) -> VerifyReport:
                 failures.append(rows[-1])
     params = {"max_k": max_k, "max_n": max_n}
     witnesses = {"table": rows, "failures": failures}
-    return _finish("chick-table", params, PASS if not failures else FAIL, witnesses, None, t0)
+    return params, PASS if not failures else FAIL, witnesses
 
 
 def floor_sum_colouring(iota: Digraph, k: int) -> tuple[int, ...]:
@@ -860,10 +879,10 @@ def floor_sum_colouring(iota: Digraph, k: int) -> tuple[int, ...]:
     return tuple(sum(c + 1 for c in lab) // k % 3 for lab in iota.labels)
 
 
-def verify_chi3k(k: int) -> VerifyReport:
+@verifier("chi3k")
+def verify_chi3k(k: int) -> Outcome:
     """The 3k-tournament adjoint: embedded 3-tournament, explicit 3-colouring,
     and exact chromatic number 3."""
-    t0 = time.perf_counter()
     params = {"k": k}
     iota = interleaved_adjoint(tournament(3 * k), k)
     colours = floor_sum_colouring(iota, k)
@@ -882,35 +901,35 @@ def verify_chi3k(k: int) -> VerifyReport:
         "triple_induces_t3": embedded,
         "chi": chi,
     }
-    return _finish("chi3k", params, verdict, witnesses, None, t0)
+    return params, verdict, witnesses
 
 
-def verify_yz(n: int, k: int, budget: int = DEFAULT_BUDGET) -> VerifyReport:
+@verifier("yz-both-ways")
+def verify_yz(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Outcome:
     """Homomorphisms both ways between the symmetrized adjoint of the
     n-tournament and the n/k circular complete graph."""
-    t0 = time.perf_counter()
     params = {"n": n, "k": k}
     b = b_graph(n, k)
     circ = circular_complete(n, k)
     r = hom_equivalent(b, circ, budget)
     if r.equivalent is None:
-        return _finish("yz-both-ways", params, INDETERMINATE, {"budget": budget}, None, t0)
+        return params, INDETERMINATE, {"budget": budget}
     witnesses = {"equivalent": r.equivalent}
     if r.forward is not None:
         witnesses["forward"] = _hom_json(r.forward)
     if r.backward is not None:
         witnesses["backward"] = _hom_json(r.backward)
-    return _finish("yz-both-ways", params, PASS if r.equivalent else FAIL, witnesses, None, t0)
+    return params, PASS if r.equivalent else FAIL, witnesses
 
 
 # --- engine self-checks ---------------------------------------------------------
 
 
+@verifier("oracle-equivalence")
 def verify_oracle_equivalence(
     samples: int = 500, max_vertices: int = 4, seed: int = 20110, budget: int = DEFAULT_BUDGET
-) -> VerifyReport:
+) -> Outcome:
     """Search engine agrees with exhaustive enumeration on random pairs."""
-    t0 = time.perf_counter()
     params = {"samples": samples, "max_vertices": max_vertices}
     rng = random.Random(seed)
     failures = []
@@ -919,16 +938,17 @@ def verify_oracle_equivalence(
         h = random_digraph(rng, rng.randint(0, max_vertices), rng.uniform(0.15, 0.8), loop_p=0.1)
         fast = hom_exists(g, h, budget)
         if fast is BUDGET_EXCEEDED:
-            return _finish("oracle-equivalence", params, INDETERMINATE, {"budget": budget}, seed, t0)
+            return params, INDETERMINATE, {"budget": budget}
         slow = brute_force_hom(g, h)
         if (fast is not None) != (slow is not None):
             failures.append({"index": i, "g": to_json_dict(g), "h": to_json_dict(h)})
         elif fast is not None and not validate_hom(fast, g, h):
             failures.append({"index": i, "g": to_json_dict(g), "h": to_json_dict(h), "bad_witness": True})
     witnesses = {"checked": samples, "failures": failures}
-    return _finish("oracle-equivalence", params, PASS if not failures else FAIL, witnesses, seed, t0)
+    return params, PASS if not failures else FAIL, witnesses
 
 
+@verifier("width1-completeness")
 def verify_width1_completeness(
     max_target_n: int = 6,
     max_target_k: int = 2,
@@ -937,14 +957,19 @@ def verify_width1_completeness(
     seed: int = 20111,
     budget: int = DEFAULT_BUDGET,
     brute_cap: int = 50_000,
-) -> VerifyReport:
+) -> Outcome:
     """Arc consistency alone decides hom existence into tournament adjoints.
 
     Sources: every digraph with <= 2 vertices plus a seeded random sample up
     to max_source_vertices.  Ground truth is the complete backtracking search,
     re-confirmed by plain enumeration on instances small enough (brute_cap).
     """
-    t0 = time.perf_counter()
+    params = {
+        "max_target_n": max_target_n,
+        "max_target_k": max_target_k,
+        "random_sources": random_sources,
+        "max_source_vertices": max_source_vertices,
+    }
     rng = random.Random(seed)
     sources = list(all_digraphs(2, loops=True))
     for _ in range(random_sources):
@@ -964,9 +989,7 @@ def verify_width1_completeness(
             ac_says_yes = reduced is not None
             truth = hom_exists(g, target, budget)
             if truth is BUDGET_EXCEEDED:
-                return _finish(
-                    "width1-completeness", {}, INDETERMINATE, {"budget": budget}, seed, t0
-                )
+                return params, INDETERMINATE, {"budget": budget}
             checked += 1
             agree = ac_says_yes == (truth is not None)
             if agree and g.n > 0 and target.n > 0 and target.n**g.n <= brute_cap:
@@ -974,78 +997,69 @@ def verify_width1_completeness(
                 agree = ac_says_yes == (slow is not None)
             if not agree:
                 failures.append({"g": to_json_dict(g), "target": target.name})
-    params = {
-        "max_target_n": max_target_n,
-        "max_target_k": max_target_k,
-        "random_sources": random_sources,
-        "max_source_vertices": max_source_vertices,
-    }
     witnesses = {"checked": checked, "failures": failures}
-    return _finish(
-        "width1-completeness", params, PASS if not failures else FAIL, witnesses, seed, t0
-    )
+    return params, PASS if not failures else FAIL, witnesses
 
 
 # --- batch runner ---------------------------------------------------------------
 
-#: (job id, verifier function name, kwargs).  Job ids are unique; reports are
-#: re-tagged with them so batch output is mergeable by claim.
+#: (job id, claim, kwargs).  Job ids are unique; reports are re-tagged with
+#: them so batch output is mergeable by claim.
 QUICK_PROFILE: list[tuple[str, str, dict]] = [
-    ("chick-table", "verify_chick_table", {"max_k": 2, "max_n": 6}),
-    ("chi3k[k=1]", "verify_chi3k", {"k": 1}),
-    ("chi3k[k=2]", "verify_chi3k", {"k": 2}),
-    ("gencol-sweep", "verify_gencol_sweep", {"samples": 20}),
-    ("gencol-tightness", "verify_gencol_tightness", {}),
-    ("adjunction-sweep", "verify_adjunction_sweep", {"samples": 40}),
-    ("finobs-exhaustive[n=3,k=2]", "verify_finobs_exhaustive", {"n": 3, "k": 2, "max_vertices": 2}),
-    ("duality-tree-exhaustive", "verify_duality_tree_exhaustive", {"max_tree_arcs": 3, "max_source_vertices": 2}),
-    ("inadprod[n=3,k=1]", "verify_inadprod", {"n": 3, "k": 1}),
-    ("inadprod[n=4,k=2]", "verify_inadprod", {"n": 4, "k": 2}),
-    ("mulpath-sweep", "verify_mulpath_sweep", {"samples": 20}),
-    ("hompath-sweep", "verify_hompath_sweep", {"samples": 20}),
-    ("yz[n=4,k=2]", "verify_yz", {"n": 4, "k": 2}),
-    ("yz[n=5,k=2]", "verify_yz", {"n": 5, "k": 2}),
-    ("steep-path[ell=3]", "verify_steep_path", {"ell": 3, "consequence_samples": 3}),
-    ("h-function[k=1]", "verify_h_function", {"k": 1, "expected": 3}),
-    ("oracle-equivalence", "verify_oracle_equivalence", {"samples": 100}),
-    ("width1-completeness", "verify_width1_completeness", {"random_sources": 30, "max_source_vertices": 4}),
+    ("chick-table", "chick-table", {"max_k": 2, "max_n": 6}),
+    ("chi3k[k=1]", "chi3k", {"k": 1}),
+    ("chi3k[k=2]", "chi3k", {"k": 2}),
+    ("gencol-sweep", "gencol-sweep", {"samples": 20}),
+    ("gencol-tightness", "gencol-tightness", {}),
+    ("adjunction-sweep", "adjunction-sweep", {"samples": 40}),
+    ("finobs-exhaustive[n=3,k=2]", "finobs-exhaustive", {"n": 3, "k": 2, "max_vertices": 2}),
+    ("duality-tree-exhaustive", "duality-tree-exhaustive", {"max_tree_arcs": 3, "max_source_vertices": 2}),
+    ("inadprod[n=3,k=1]", "inadprod", {"n": 3, "k": 1}),
+    ("inadprod[n=4,k=2]", "inadprod", {"n": 4, "k": 2}),
+    ("mulpath-sweep", "mulpath-sweep", {"samples": 20}),
+    ("hompath-sweep", "hompath-sweep", {"samples": 20}),
+    ("yz[n=4,k=2]", "yz-both-ways", {"n": 4, "k": 2}),
+    ("yz[n=5,k=2]", "yz-both-ways", {"n": 5, "k": 2}),
+    ("steep-path[ell=3]", "steep-path", {"ell": 3, "consequence_samples": 3}),
+    ("h-function[k=1]", "h-function", {"k": 1, "expected": 3}),
+    ("oracle-equivalence", "oracle-equivalence", {"samples": 100}),
+    ("width1-completeness", "width1-completeness", {"random_sources": 30, "max_source_vertices": 4}),
 ]
 
 FULL_PROFILE: list[tuple[str, str, dict]] = [
-    ("chick-table", "verify_chick_table", {"max_k": 3, "max_n": 8}),
-    ("chi3k[k=1]", "verify_chi3k", {"k": 1}),
-    ("chi3k[k=2]", "verify_chi3k", {"k": 2}),
-    ("chi3k[k=3]", "verify_chi3k", {"k": 3}),
-    ("gencol-sweep", "verify_gencol_sweep", {"samples": 100}),
-    ("gencol-tightness", "verify_gencol_tightness", {}),
-    ("adjunction-sweep", "verify_adjunction_sweep", {"samples": 200}),
-    ("finobs-exhaustive[n=3,k=2]", "verify_finobs_exhaustive", {"n": 3, "k": 2}),
-    ("finobs-exhaustive[n=4,k=2]", "verify_finobs_exhaustive", {"n": 4, "k": 2}),
-    ("duality-tree-exhaustive", "verify_duality_tree_exhaustive", {}),
-    ("inadprod[n=3,k=1]", "verify_inadprod", {"n": 3, "k": 1}),
-    ("inadprod[n=4,k=2]", "verify_inadprod", {"n": 4, "k": 2}),
-    ("mulpath-sweep", "verify_mulpath_sweep", {"samples": 50}),
-    ("hompath-sweep", "verify_hompath_sweep", {"samples": 50}),
-    ("yz[n=4,k=2]", "verify_yz", {"n": 4, "k": 2}),
-    ("yz[n=5,k=2]", "verify_yz", {"n": 5, "k": 2}),
-    ("yz[n=6,k=2]", "verify_yz", {"n": 6, "k": 2}),
-    ("yz[n=6,k=3]", "verify_yz", {"n": 6, "k": 3}),
-    ("steep-path[ell=4]", "verify_steep_path", {"ell": 4, "consequence_samples": 20}),
-    ("h-function[k=1]", "verify_h_function", {"k": 1, "expected": 3}),
-    ("h-function[k=2]", "verify_h_function", {"k": 2}),
-    ("oracle-equivalence", "verify_oracle_equivalence", {"samples": 500}),
-    ("width1-completeness", "verify_width1_completeness", {}),
+    ("chick-table", "chick-table", {"max_k": 3, "max_n": 8}),
+    ("chi3k[k=1]", "chi3k", {"k": 1}),
+    ("chi3k[k=2]", "chi3k", {"k": 2}),
+    ("chi3k[k=3]", "chi3k", {"k": 3}),
+    ("gencol-sweep", "gencol-sweep", {"samples": 100}),
+    ("gencol-tightness", "gencol-tightness", {}),
+    ("adjunction-sweep", "adjunction-sweep", {"samples": 200}),
+    ("finobs-exhaustive[n=3,k=2]", "finobs-exhaustive", {"n": 3, "k": 2}),
+    ("finobs-exhaustive[n=4,k=2]", "finobs-exhaustive", {"n": 4, "k": 2}),
+    ("duality-tree-exhaustive", "duality-tree-exhaustive", {}),
+    ("inadprod[n=3,k=1]", "inadprod", {"n": 3, "k": 1}),
+    ("inadprod[n=4,k=2]", "inadprod", {"n": 4, "k": 2}),
+    ("mulpath-sweep", "mulpath-sweep", {"samples": 50}),
+    ("hompath-sweep", "hompath-sweep", {"samples": 50}),
+    ("yz[n=4,k=2]", "yz-both-ways", {"n": 4, "k": 2}),
+    ("yz[n=5,k=2]", "yz-both-ways", {"n": 5, "k": 2}),
+    ("yz[n=6,k=2]", "yz-both-ways", {"n": 6, "k": 2}),
+    ("yz[n=6,k=3]", "yz-both-ways", {"n": 6, "k": 3}),
+    ("steep-path[ell=4]", "steep-path", {"ell": 4, "consequence_samples": 20}),
+    ("h-function[k=1]", "h-function", {"k": 1, "expected": 3}),
+    ("h-function[k=2]", "h-function", {"k": 2}),
+    ("oracle-equivalence", "oracle-equivalence", {"samples": 500}),
+    ("width1-completeness", "width1-completeness", {}),
 ]
 
 PROFILES = {"quick": QUICK_PROFILE, "full": FULL_PROFILE}
 
 
 def run_job(spec: tuple[str, str, dict]) -> VerifyReport:
-    """Run one registry job; the report is re-tagged with the job id."""
-    job_id, func_name, kwargs = spec
-    fn = globals()[func_name]
+    """Run one profile job; the report is re-tagged with the job id."""
+    job_id, claim, kwargs = spec
     try:
-        report = fn(**kwargs)
+        report = REGISTRY[claim](**kwargs)
     except SizeLimitExceeded as e:
         return VerifyReport(job_id, dict(kwargs), INDETERMINATE, {"guard": str(e)})
     return replace(report, claim=job_id)
@@ -1054,7 +1068,7 @@ def run_job(spec: tuple[str, str, dict]) -> VerifyReport:
 def run_profile(profile: str, workers: Optional[int] = None) -> list[VerifyReport]:
     """Run a whole profile, fanning out to a process pool when workers > 1.
 
-    Reports come back in registry order regardless of completion order.
+    Reports come back in profile order regardless of completion order.
     """
     jobs = PROFILES[profile]
     if workers is None:

@@ -154,6 +154,34 @@ def test_hom_budget_exceeded_exit(tmp_path, capsys):
     assert code == 2 and json.loads(out)["result"] == "budget_exceeded"
 
 
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        ("--claim mulpath --samples 2 --max-vertices 2", {"samples": 2, "max_vertices": 2, "max_n": 3}),
+        ("--claim hompath --samples 2 --max-vertices 2", {"samples": 2, "max_vertices": 2, "max_n": 3}),
+        ("--claim gencol --samples 0", {"samples": 0, "max_vertices": 5, "k": 2}),
+    ],
+)
+def test_verify_passes_every_flag_the_verifier_takes(capsys, argv, params):
+    code, out, _ = run(capsys, "verify", *argv.split(), "--json")
+    report = json.loads(out)
+    assert code == 0 and report["params"] == params
+    assert report["witnesses"]["checked"] == params["samples"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("--claim inadprod --n 3", "--k"),
+        ("--claim minty --c 3 --k 2", "--input"),
+        ("--claim finobs --k 2", "--n"),
+    ],
+)
+def test_verify_missing_argument_is_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv.split())
+    assert code == 3 and out == "" and f"{flag} is required for this claim" in err
+
+
 @pytest.mark.parametrize("claim", ["finobs", "mulpath", "hompath"])
 def test_verify_budget_exhaustion_exits_two(capsys, claim):
     code, out, _ = run(capsys, "verify", "--claim", claim, "--n", "3", "--k", "2", "--budget", "1", "--json")

@@ -77,10 +77,3 @@ def test_universal_property_on_small_instances():
             assert via_product.validate(g, spec)
             # same decision through the explicit digraph
             assert isinstance(hom_exists(g, spec.materialize()), Hom)
-
-
-def test_out_in_neighbors():
-    spec = categorical_product([path(2), path(2)])
-    assert list(spec.out_neighbors((0, 0))) == [(1, 1)]
-    assert list(spec.in_neighbors((1, 1))) == [(0, 0)]
-    assert list(spec.out_neighbors((2, 2))) == []

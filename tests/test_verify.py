@@ -326,9 +326,38 @@ def test_equivalence_verifiers_agree_with_enumeration():
         (V.verify_mulpath_sweep, {}),
         (V.verify_hompath_sweep, {}),
         (V.verify_oracle_equivalence, {}),
+        (V.verify_duality_tree_exhaustive, {"max_tree_arcs": 2, "max_source_vertices": 2}),
+        (V.verify_inadprod, {"n": 4, "k": 2}),
+        (V.verify_yz, {"n": 4, "k": 2}),
+        (V.verify_steep_path, {"ell": 3, "consequence_samples": 3}),
+        (V.verify_width1_completeness, {"random_sources": 5}),
     ],
 )
 def test_exhausted_budget_is_indeterminate(verifier, kwargs):
     rep = verifier(budget=1, **kwargs)
     assert rep.verdict == V.INDETERMINATE
     assert rep.witnesses == {"budget": 1}
+    passed = verifier(**kwargs)
+    assert passed.verdict == V.PASS and rep.params == passed.params
+
+
+def test_failure_before_an_indeterminate_subcheck_is_kept(monkeypatch):
+    from dataclasses import replace
+
+    real = V.verify_finobs
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        rep = real(*args, **kwargs)
+        if len(calls) == 2:
+            return replace(rep, verdict=V.FAIL)
+        if len(calls) == 5:
+            return replace(rep, verdict=V.INDETERMINATE, witnesses={"budget": 1})
+        return rep
+
+    monkeypatch.setattr(V, "verify_finobs", flaky)
+    rep = V.verify_finobs_exhaustive(3, 2, max_vertices=2)
+    assert rep.verdict == V.FAIL
+    assert rep.witnesses["checked"] == 4 and rep.witnesses["stopped_by"] == {"budget": 1}
+    assert [f["index"] for f in rep.witnesses["failures"]] == [1]
