@@ -140,3 +140,27 @@ def test_long_odd_cycle_leaves_recursion_limit_unchanged():
     before = sys.getrecursionlimit()
     assert chromatic_number(cycle).chi == 3
     assert sys.getrecursionlimit() == before
+
+
+def _pinned_colouring_inputs():
+    """Seeded loopless digraphs (n <= 40), the odd cycles C_5 ... C_301 and
+    the chick-table adjoints of the tournaments."""
+    rng = random.Random(20260)
+    graphs = [random_digraph(rng, rng.randint(1, 40), rng.uniform(0.02, 0.25)) for _ in range(300)]
+    graphs += [make_digraph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(5, 302, 2)]
+    graphs += [
+        interleaved_adjoint(tournament(n), k) for k in range(1, 4) for n in range(2 * k, 9)
+    ]
+    return graphs
+
+
+def test_chromatic_number_outputs_are_pinned():
+    import hashlib
+    import json
+
+    results = []
+    for g in _pinned_colouring_inputs():
+        res = chromatic_number(g)
+        results.append([res.chi, res.colouring, res.lower_bound_cert])
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == "880d4a48728c167e7fc6537deaf01cfb86ba221b4bf4845e39ea15a27a89b1fa"
