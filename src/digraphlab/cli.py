@@ -345,15 +345,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConstructionError, ValueError) as e:
+    except (ConstructionError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except SizeLimitExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_INDETERMINATE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,19 +1,19 @@
 """Exact chromatic numbers via branch and bound.
 
 The chromatic number of a digraph is that of its symmetrisation; the solver
-works on bitmask adjacency, using a greedy saturation-order upper bound and
-a clique lower bound, then one k-colourability decision per candidate k with
-colour-symmetry breaking.
+works on the digraph's neighbour masks.  One DSATUR search on an explicit
+stack decides k-colourability with colour-symmetry breaking; its first
+descent with n colours never backtracks and is the greedy upper bound.  A
+greedy clique gives the lower bound, and one decision runs per candidate k.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from math import log2
 from typing import Optional, Sequence
 
-from .core import Digraph, symmetrize
+from .core import Digraph
 from .constructions import arc_graph
 
 
@@ -34,98 +34,83 @@ def check_colouring(g: Digraph, colours: Sequence[int]) -> bool:
     return all(colours[u] != colours[v] for u, v in g.arcs)
 
 
-def _adjacency_masks(g: Digraph) -> list[int]:
-    masks = [0] * g.n
-    for u, v in g.arcs:
-        if u != v:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-    return masks
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _greedy_colouring(masks: list[int]) -> list[int]:
-    """DSATUR-style greedy: highest saturation first, degrees break ties."""
-    n = len(masks)
-    colours = [-1] * n
-    sat = [0] * n  # bitmask of neighbour colours
-    degs = [m.bit_count() for m in masks]
-    for _ in range(n):
-        u = max(
-            (v for v in range(n) if colours[v] < 0),
-            key=lambda v: (sat[v].bit_count(), degs[v], -v),
-        )
-        c = 0
-        while sat[u] >> c & 1:
-            c += 1
-        colours[u] = c
-        for v in range(n):
-            if masks[u] >> v & 1:
-                sat[v] |= 1 << c
-    return colours
+def _greedy_clique(masks: Sequence[int], starts: int) -> list[int]:
+    """Best clique grown greedily from each of the ``starts`` vertices of
+    highest degree (lowest index first on ties), in growth order.
 
-def _greedy_clique(masks: list[int]) -> list[int]:
-    """Best clique found by greedy growth from each vertex in degree order."""
-    n = len(masks)
-    order = sorted(range(n), key=lambda v: -masks[v].bit_count())
+    Each step adds the candidate with the most neighbours among the
+    remaining candidates, the lowest index on ties.
+    """
     best: list[int] = []
-    for start in order[: min(n, 24)]:
+    for start in sorted(range(len(masks)), key=lambda v: -masks[v].bit_count())[:starts]:
         clique = [start]
         common = masks[start]
         while common:
-            u = max(
-                (v for v in range(n) if common >> v & 1),
-                key=lambda v: (masks[v] & common).bit_count(),
-            )
+            u = max(_bits(common), key=lambda v: (masks[v] & common).bit_count())
             clique.append(u)
             common &= masks[u]
         if len(clique) > len(best):
             best = clique
-    return sorted(best)
+    return best
 
 
-def _decide_colourable(masks: list[int], k: int) -> Optional[list[int]]:
-    """Backtracking k-colourability decision in dynamic saturation order.
+def _decide_colourable(masks: Sequence[int], k: int) -> Optional[list[int]]:
+    """Backtracking k-colourability decision in dynamic saturation order
+    (DSATUR): highest saturation first, then highest degree, then lowest
+    index; colours ascending.
 
     Colour symmetry is broken by allowing at most one fresh colour per step.
+    With k = n the first descent never backtracks and is the greedy DSATUR
+    colouring.  The search runs on an explicit stack; a frame is [vertex,
+    next colour to try, colours in use before it, neighbours whose
+    saturation its colour set].
     """
     n = len(masks)
-    if n == 0:
-        return []
     colours = [-1] * n
-    sat = [0] * n
+    sat = [0] * n  # bitmask of neighbour colours
     degs = [m.bit_count() for m in masks]
-
-    def assign(done: int, used: int) -> bool:
-        if done == n:
-            return True
+    nbrs = [list(_bits(m)) for m in masks]
+    frames: list[list] = []
+    used = 0
+    while len(frames) < n:
         u = max(
             (v for v in range(n) if colours[v] < 0),
             key=lambda v: (sat[v].bit_count(), degs[v], -v),
         )
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if sat[u] >> c & 1:
+        frames.append([u, 0, used, ()])
+        while True:
+            if not frames:
+                return None
+            frame = frames[-1]
+            u, c, used, changed = frame
+            if changed:
+                bit = 1 << c - 1
+                for v in changed:
+                    sat[v] ^= bit
+            limit = min(k, used + 1)
+            while c < limit and sat[u] >> c & 1:
+                c += 1
+            if c == limit:
+                colours[u] = -1
+                frames.pop()
                 continue
             colours[u] = c
-            changed = []
-            for v in range(n):
-                if masks[u] >> v & 1 and not sat[v] >> c & 1:
-                    sat[v] |= 1 << c
-                    changed.append(v)
-            if assign(done + 1, max(used, c + 1)):
-                return True
-            colours[u] = -1
+            bit = 1 << c
+            changed = [v for v in nbrs[u] if not sat[v] & bit]
             for v in changed:
-                sat[v] &= ~(1 << c)
-        return False
-
-    old_limit = sys.getrecursionlimit()
-    if old_limit < n + 128:
-        sys.setrecursionlimit(n + 256)
-    try:
-        return colours if assign(0, 0) else None
-    finally:
-        sys.setrecursionlimit(old_limit)
+                sat[v] |= bit
+            frame[1], frame[3] = c + 1, changed
+            used = max(used, c + 1)
+            break
+    return colours
 
 
 def chromatic_number(g: Digraph, limit: Optional[int] = None) -> ColouringResult:
@@ -142,13 +127,12 @@ def chromatic_number(g: Digraph, limit: Optional[int] = None) -> ColouringResult
         raise ValueError("colour limit must be >= 1")
     if g.n == 0:
         return ColouringResult(0, (), None)
-    sym = symmetrize(g)
-    if not sym.arcs:
+    masks = g.neighbour_masks
+    if not any(masks):
         return ColouringResult(1, (0,) * g.n, (0,))
-    masks = _adjacency_masks(sym)
-    greedy = _greedy_colouring(masks)
+    greedy = _decide_colourable(masks, g.n)
     ub = max(greedy) + 1
-    clique = _greedy_clique(masks)
+    clique = sorted(_greedy_clique(masks, 24))
     lb = max(len(clique), 2)
     best_colouring = greedy
     for k in range(lb, ub):

@@ -9,10 +9,7 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-from .core import ConstructionError, Digraph, SizeLimitExceeded, make_digraph, symmetrize
-
-#: Builders refuse to emit a digraph with more vertices than this.
-DEFAULT_VERTEX_LIMIT = 200_000
+from .core import DEFAULT_VERTEX_LIMIT, ConstructionError, Digraph, SizeLimitExceeded, make_digraph, symmetrize
 
 
 def tournament(n: int) -> Digraph:

@@ -13,6 +13,10 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 
+#: Builders and the JSON loader refuse a digraph with more vertices than this.
+DEFAULT_VERTEX_LIMIT = 200_000
+
+
 class ConstructionError(ValueError):
     """Malformed construction arguments (bad endpoints, non-tree input, ...)."""
 
@@ -80,6 +84,16 @@ class Digraph:
     def in_masks(self) -> tuple[int, ...]:
         """``in_sets`` as int bitmasks: bit u of ``in_masks[v]`` is arc (u, v)."""
         return tuple(sum(1 << u for u in s) for s in self.in_sets)
+
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Bit v of ``neighbour_masks[u]`` is an arc between u != v, either way."""
+        masks = [0] * self.n
+        for u, v in self.arcs:
+            if u != v:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+        return tuple(masks)
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arc_set
@@ -188,12 +202,15 @@ def _is_int(x) -> bool:
 
 def from_json_dict(d: dict) -> Digraph:
     """Digraph from its JSON object; anything off the format is a
-    ConstructionError, never coerced."""
+    ConstructionError, never coerced, and more than DEFAULT_VERTEX_LIMIT
+    vertices is SizeLimitExceeded."""
     if not isinstance(d, dict) or "n" not in d or "arcs" not in d:
         raise ConstructionError("digraph JSON needs 'n' and 'arcs' keys")
     n, arcs = d["n"], d["arcs"]
     if not _is_int(n) or n < 0:
         raise ConstructionError(f"'n' must be an integer >= 0, got {n!r}")
+    if n > DEFAULT_VERTEX_LIMIT:
+        raise SizeLimitExceeded("from_json", n, DEFAULT_VERTEX_LIMIT)
     if not isinstance(arcs, list) or not all(
         isinstance(a, list) and len(a) == 2 and _is_int(a[0]) and _is_int(a[1]) for a in arcs
     ):

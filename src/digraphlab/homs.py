@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
+from .coloring import _greedy_clique
 from .core import Digraph, Hom, SizeLimitExceeded, validate_hom
 from .product import ProductHom, ProductSpec
 
@@ -263,29 +264,9 @@ def _mac_search(cons: _Constraints, doms: list[int], degs: list[int], budget: in
                 break
 
 
-def _sym_degrees(g: Digraph) -> list[int]:
-    return [len(g.out_sets[u] | g.in_sets[u]) - (u in g.out_sets[u]) for u in range(g.n)]
-
-
 def _is_complete_symmetric(h: Digraph) -> bool:
     # n(n-1) distinct loopless arcs can only be all ordered pairs
     return len(h.arcs) == h.n * (h.n - 1) and not h.has_loop()
-
-
-def _greedy_conflict_clique(g: Digraph, degs: list[int]) -> list[int]:
-    """Vertices pairwise joined by an arc in some direction, grown greedily."""
-    adj = [(g.out_sets[u] | g.in_sets[u]) - {u} for u in range(g.n)]
-    best: list[int] = []
-    for start in sorted(range(g.n), key=lambda u: (-degs[u], u))[:8]:
-        clique = [start]
-        common = set(adj[start])
-        while common:
-            nxt = max(common, key=lambda v: (len(adj[v] & common), -v))
-            clique.append(nxt)
-            common &= adj[nxt]
-        if len(clique) > len(best):
-            best = clique
-    return best
 
 
 def _hom_exists_digraph(g: Digraph, h: Digraph, budget: int) -> HomResult:
@@ -294,14 +275,14 @@ def _hom_exists_digraph(g: Digraph, h: Digraph, budget: int) -> HomResult:
     if h.n == 0:
         return None
     doms = [(1 << h.n) - 1] * g.n
-    degs = _sym_degrees(g)
+    degs = [m.bit_count() for m in g.neighbour_masks]
     if _is_complete_symmetric(h):
         # all target vertices are interchangeable: along any fixed source
         # order, a hom can be relabelled so the i-th vertex uses a colour
         # index <= i.  Putting a greedy conflict clique first makes an
         # oversized clique wipe out by arc consistency alone; the rest is
         # clamped along descending degree.
-        clique = _greedy_conflict_clique(g, degs)
+        clique = _greedy_clique(g.neighbour_masks, 8)
         rest = sorted(set(range(g.n)) - set(clique), key=lambda u: (-degs[u], u))
         for pos, u in enumerate(clique + rest):
             doms[u] = (2 << min(pos, h.n - 1)) - 1

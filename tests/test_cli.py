@@ -135,6 +135,13 @@ def test_missing_file(capsys):
     assert code == 3
 
 
+def test_directory_as_file_is_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "chi", "--input", str(tmp_path))
+    assert code == 3 and out == "" and err.startswith("error: ")
+    code, _, err = run(capsys, "construct", "--family", "tournament", "--n", "3", "--out", str(tmp_path))
+    assert code == 3 and err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "bad", [{"n": 3, "arcs": 5}, {"n": True, "arcs": []}, {"n": 3, "arcs": [[0.9, 2.2]]}]
 )

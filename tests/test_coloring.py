@@ -164,3 +164,14 @@ def test_chromatic_number_outputs_are_pinned():
         results.append([res.chi, res.colouring, res.lower_bound_cert])
     digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
     assert digest == "880d4a48728c167e7fc6537deaf01cfb86ba221b4bf4845e39ea15a27a89b1fa"
+
+
+def test_chromatic_number_never_sets_recursion_limit(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit}) called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    n = 1501
+    cycle = make_digraph(n, [(i, (i + 1) % n) for i in range(n)])
+    res = chromatic_number(cycle)
+    assert res.chi == 3 and check_colouring(cycle, res.colouring)

@@ -21,6 +21,7 @@ from digraphlab import (
     tournament,
     validate_hom,
 )
+from digraphlab.core import DEFAULT_VERTEX_LIMIT, SizeLimitExceeded
 from digraphlab.verify import random_digraph
 
 
@@ -173,6 +174,21 @@ def test_json_rejects_malformed():
 def test_json_rejects_ill_typed_fields(text):
     with pytest.raises(ConstructionError):
         from_json(text)
+
+
+def test_json_refuses_more_vertices_than_the_limit():
+    assert from_json(json.dumps({"n": DEFAULT_VERTEX_LIMIT, "arcs": []})).n == DEFAULT_VERTEX_LIMIT
+    for n in (DEFAULT_VERTEX_LIMIT + 1, 10**12):
+        with pytest.raises(SizeLimitExceeded):
+            from_json(json.dumps({"n": n, "arcs": []}))
+
+
+def test_neighbour_masks_are_the_symmetrised_loopless_adjacency():
+    rng = random.Random(67)
+    for _ in range(30):
+        g = random_digraph(rng, rng.randint(0, 8), 0.3, loop_p=0.3)
+        expected = [sum(1 << v for u, v in symmetrize(g).arcs if u == x and v != x) for x in range(g.n)]
+        assert g.neighbour_masks == tuple(expected)
 
 
 def test_dot_export():
