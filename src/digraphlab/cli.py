@@ -5,7 +5,8 @@ produce identical output bytes, except for the optional timing field on
 verification reports.
 
 Exit codes: 0 success or PASS, 1 FAIL (counterexample found), 2 indeterminate
-(budget or size guard), 3 usage error.
+(budget or size guard), 3 usage error, 4 a verify-all job raised (ERROR) and
+none failed.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 3
+EXIT_ERROR = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -246,6 +248,8 @@ def cmd_verify_all(args) -> int:
         print(f"{n_pass}/{len(reports)} PASS")
     if any(r.verdict == "FAIL" for r in reports):
         return EXIT_FAIL
+    if any(r.verdict == "ERROR" for r in reports):
+        return EXIT_ERROR
     if any(r.verdict == "INDETERMINATE" for r in reports):
         return EXIT_INDETERMINATE
     return EXIT_PASS

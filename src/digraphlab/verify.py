@@ -49,15 +49,18 @@ from .homs import (
     hom_exists,
 )
 from .level_search import find_level_walk
-from .paths import OrientedPath, path_family, standard_path
+from .paths import BACKWARD, FORWARD, OrientedPath, path_family, standard_path
 from .product import categorical_product
 
 PASS = "PASS"
 FAIL = "FAIL"
 INDETERMINATE = "INDETERMINATE"
+#: Verdict of a profile job that raised: it says nothing about the claim.
+ERROR = "ERROR"
 
-#: Steep-path searches beyond this span are out of desk scale.
-MAX_STEEP_SPAN = 4
+#: Steep-path searches beyond this span are out of desk scale: at ell = 7
+#: the 1,941 family members make the subset states too large to store.
+MAX_STEEP_SPAN = 6
 
 #: Largest k accepted by h_function (dual sizes stay <= 2^(3k-1)).
 MAX_H_K = 3
@@ -657,7 +660,6 @@ class SteepPathResult:
     path: OrientedPath
     family: tuple[OrientedPath, ...]
     factor_homs: tuple[Hom, ...]
-    walk_tuples: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
     def n_arcs(self) -> int:
@@ -668,10 +670,19 @@ def find_steep_path(ell: int) -> SteepPathResult:
     """Construct a path of span ell mapping into every path of the
     (3k, k-1)-reversal family, k = ell - 2.
 
-    For ell <= 3 the all-forward path works.  ell = 4 runs a BFS over the
-    implicit product of the 7 family members; ell >= 5 is refused (state
-    space too large).  An empty search would contradict the duality analysis
-    and raises loudly.
+    For ell <= 2 the all-forward path works.  Otherwise a BFS runs over
+    states (level, S_1, ..., S_m), where S_j is the set of vertices of
+    member j at which a hom of the pattern read so far can end: a hom from
+    an oriented path into a member is a walk that follows the pattern, so
+    the sets are an exact state (the subset construction).  The pattern
+    maps into every member while no S_j is empty.  The sets are packed into
+    one int, so one step moves every member at once.  '+' is expanded
+    before '-' and each state keeps its first parent, so the first state on
+    level ell spells the lexicographically least shortest pattern; the
+    factor homs are read back through the stored sets.
+
+    ell > MAX_STEEP_SPAN is refused before anything is built.  An empty
+    search would contradict the duality analysis and raises loudly.
     """
     if ell < 1:
         raise ValueError("span must be >= 1")
@@ -681,34 +692,83 @@ def find_steep_path(ell: int) -> SteepPathResult:
         return SteepPathResult(ell, standard_path(ell), (), ())
     k = ell - 2
     family = path_family(3 * k, k - 1)
-    factors = [p.as_digraph() for p in family.members]
-    q: OrientedPath
-    if ell == 3:
-        q = standard_path(3)
-        homs = []
-        for f in factors:
-            w = hom_exists(q.as_digraph(), f)
-            assert isinstance(w, Hom)
-            homs.append(w)
-        return SteepPathResult(ell, q, tuple(family.members), tuple(homs))
 
-    spec = categorical_product(factors)
-    arcs = ((spec.index_of(u), spec.index_of(v)) for u, v in spec.arcs_iter())
-    walk = find_level_walk(spec.num_vertices, arcs, ell)
-    if walk is None:
+    # Member j owns bits [j*w, j*w + n) for its n vertices; bit j*w + n is
+    # a spare that no set uses, so adding `low` carries into it exactly when
+    # the member's set is non-empty.  A '+' step follows arcs i -> i+1 up
+    # from bits in fwd_up and arcs i+1 -> i down from bits in fwd_down; a
+    # '-' step follows the same arcs backwards.
+    n = 3 * k + 1
+    w = n + 1
+    fwd_up = fwd_down = back_up = back_down = 0
+    for j, member in enumerate(family.members):
+        for i, c in enumerate(member.dirs):
+            bit = 1 << (j * w + i)
+            if c == FORWARD:
+                fwd_up |= bit
+                back_down |= bit << 1
+            else:
+                fwd_down |= bit << 1
+                back_up |= bit
+    ones = sum(1 << (j * w) for j in range(len(family)))
+    low = ones * ((1 << n) - 1)
+    spare = ones << n
+
+    def step(x: int, symbol: str) -> int:
+        if symbol == FORWARD:
+            return ((x & fwd_up) << 1) | ((x & fwd_down) >> 1)
+        return ((x & back_down) >> 1) | ((x & back_up) << 1)
+
+    states = [(0, low)]
+    parent = [-1]
+    seen = {states[0]}
+    head = 0
+    while head < len(states) and states[-1][0] != ell:
+        level, x = states[head]
+        for symbol, nxt in ((FORWARD, level + 1), (BACKWARD, level - 1)):
+            if not 0 <= nxt <= ell:
+                continue
+            y = step(x, symbol)
+            if (y + low) & spare != spare or (nxt, y) in seen:
+                continue
+            seen.add((nxt, y))
+            states.append((nxt, y))
+            parent.append(head)
+            if nxt == ell:
+                break
+        head += 1
+    if states[-1][0] != ell:
         raise RuntimeError(
-            "no steep walk found in the obstruction-family product; "
+            "no steep path maps into every member of the obstruction family; "
             "this contradicts the duality analysis"
         )
-    q = OrientedPath(walk.dirs)
+
+    chain = [len(states) - 1]
+    while parent[chain[-1]] >= 0:
+        chain.append(parent[chain[-1]])
+    sets = [states[s][1] for s in reversed(chain)]
+    levels = [states[s][0] for s in reversed(chain)]
+    q = OrientedPath("".join(FORWARD if b > a else BACKWARD for a, b in zip(levels, levels[1:])))
     assert q.algebraic_length() == ell
-    tuples = tuple(spec.tuple_of(s) for s in walk.nodes)
+
+    # Walk back from the least vertex of each final set: the vertex before
+    # v in member j is the least one of its set with the pattern's arc to v.
+    # x & ~(x - ones) keeps the lowest bit of every member at once.
+    v = sets[-1] & ~(sets[-1] - ones)
+    walk = [v]
+    for c, before in zip(reversed(q.dirs), reversed(sets[:-1])):
+        x = step(v, BACKWARD if c == FORWARD else FORWARD) & before
+        v = x & ~(x - ones)
+        walk.append(v)
+    walk.reverse()
+    qd = q.as_digraph()
+    field_mask = (1 << n) - 1
     homs = []
-    for c, f in enumerate(factors):
-        h = Hom(tuple(t[c] for t in tuples))
-        assert validate_hom(h, q.as_digraph(), f)
+    for j, member in enumerate(family.members):
+        h = Hom(tuple(((v >> (j * w)) & field_mask).bit_length() - 1 for v in walk))
+        assert validate_hom(h, qd, member.as_digraph())
         homs.append(h)
-    return SteepPathResult(ell, q, tuple(family.members), tuple(homs), tuples)
+    return SteepPathResult(ell, q, tuple(family.members), tuple(homs))
 
 
 @verifier("steep-path")
@@ -1056,12 +1116,18 @@ PROFILES = {"quick": QUICK_PROFILE, "full": FULL_PROFILE}
 
 
 def run_job(spec: tuple[str, str, dict]) -> VerifyReport:
-    """Run one profile job; the report is re-tagged with the job id."""
+    """Run one profile job; the report is re-tagged with the job id.
+
+    A size guard makes the job INDETERMINATE; any other exception makes it
+    ERROR, so one crashed job does not stop the rest of a profile.
+    """
     job_id, claim, kwargs = spec
     try:
         report = REGISTRY[claim](**kwargs)
     except SizeLimitExceeded as e:
         return VerifyReport(job_id, dict(kwargs), INDETERMINATE, {"guard": str(e)})
+    except Exception as e:
+        return VerifyReport(job_id, dict(kwargs), ERROR, {"error": f"{type(e).__name__}: {e}"})
     return replace(report, claim=job_id)
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -101,6 +102,12 @@ def test_find_steep_path_small(capsys):
     code, out, _ = run(capsys, "find-steep-path", "--ell", "3")
     lines = out.splitlines()
     assert code == 0 and lines[0] == "+++" and "[PASS]" in lines[-1]
+
+
+def test_find_steep_path_span_five(capsys):
+    code, out, _ = run(capsys, "find-steep-path", "--ell", "5")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "++-+-++--++-+-++--++-+-++"
 
 
 def test_find_steep_path_guard(capsys):
@@ -207,6 +214,34 @@ def test_verify_all_json(capsys):
     code, out, _ = run(capsys, "verify-all", "--profile", "quick", "--workers", "1", "--json")
     reports = json.loads(out)
     assert code == 0 and all(r["verdict"] == "PASS" for r in reports)
+
+
+def test_crashed_job_is_error_and_exits_four(capsys, monkeypatch):
+    from digraphlab import verify as V
+
+    def boom(**kwargs):
+        raise ZeroDivisionError("boom")
+
+    jobs = V.QUICK_PROFILE[:4]  # chick-table, chi3k[k=1], chi3k[k=2], gencol-sweep
+    monkeypatch.setitem(V.PROFILES, "quick", jobs)
+    monkeypatch.setitem(V.REGISTRY, "chi3k", boom)
+    code, out, _ = run(capsys, "verify-all", "--profile", "quick", "--workers", "1", "--json")
+    reports = json.loads(out)
+    assert code == 4
+    assert [r["verdict"] for r in reports] == ["PASS", "ERROR", "ERROR", "PASS"]
+    assert reports[1] == {
+        "claim": "chi3k[k=1]",
+        "params": {"k": 1},
+        "verdict": "ERROR",
+        "witnesses": {"error": "ZeroDivisionError: boom"},
+        "seed": None,
+    }
+
+    # A FAIL still decides the exit code.
+    fail = V.REGISTRY["chick-table"](max_k=1, max_n=3)
+    monkeypatch.setitem(V.REGISTRY, "chick-table", lambda **kwargs: replace(fail, verdict=V.FAIL))
+    code, _, _ = run(capsys, "verify-all", "--profile", "quick", "--workers", "1")
+    assert code == 1
 
 
 def test_fail_verdict_maps_to_exit_one(capsys):

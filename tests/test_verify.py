@@ -1,10 +1,12 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
 from digraphlab import (
     Hom,
+    OrientedPath,
     SizeLimitExceeded,
     arc_graph,
     complete,
@@ -14,6 +16,7 @@ from digraphlab import (
     interleaved_adjoint,
     make_digraph,
     path,
+    path_family,
     tournament,
     validate_hom,
 )
@@ -196,7 +199,7 @@ def test_steep_path_trivial_spans():
 
 def test_steep_path_guard():
     with pytest.raises(SizeLimitExceeded):
-        find_steep_path(5)
+        find_steep_path(7)
     with pytest.raises(ValueError):
         find_steep_path(0)
 
@@ -210,6 +213,44 @@ def test_steep_path_span_four():
     for hom, member in zip(res.factor_homs, res.family):
         assert validate_hom(hom, qd, member.as_digraph())
     assert hom_exists(qd, path(3)) is None
+
+
+#: Pinned steep paths: 25 arcs over the 46 members of path_family(9, 2) and
+#: 90 arcs over the 299 members of path_family(12, 3).
+STEEP_PATHS = {
+    5: "++-+-++--++-+-++--++-+-++",
+    6: "++-+-+-++-+--+-++-+-+-++--+-+-+--++-+-+-++-+--+-++-+-+-++--+-+-+--++-+-+-++-+--+-++-+-+-++",
+}
+
+
+@pytest.mark.parametrize("ell", [5, 6])
+def test_steep_path_spans_five_and_six(ell):
+    res = find_steep_path(ell)
+    assert res.path.dirs == STEEP_PATHS[ell]
+    assert res.path.algebraic_length() == ell
+    assert len(res.factor_homs) == len(res.family) == {5: 46, 6: 299}[ell]
+    qd = res.path.as_digraph()
+    for hom, member in zip(res.factor_homs, res.family):
+        assert validate_hom(hom, qd, member.as_digraph())
+    assert hom_exists(qd, path(ell - 1)) is None
+
+
+def test_steep_path_four_is_least_shortest():
+    # Every pattern of at most 8 arcs from level 0 to level 4 within 0..4, in
+    # lexicographic order ('+' first), tried against the family by hom_exists.
+    members = [p.as_digraph() for p in path_family(6, 1)]
+    mapping = {}
+    for m in range(1, 9):
+        for dirs in product("+-", repeat=m):
+            q = OrientedPath("".join(dirs))
+            levels = q.levels()
+            if min(levels) == 0 and max(levels) <= 4 and levels[-1] == 4:
+                qd = q.as_digraph()
+                mapping[q.dirs] = all(isinstance(hom_exists(qd, f), Hom) for f in members)
+    assert not any(ok for dirs, ok in mapping.items() if len(dirs) < 8)
+    # The least 8-arc pattern that maps is also the only one.
+    assert [dirs for dirs, ok in mapping.items() if ok] == ["++-++-++"]
+    assert find_steep_path(4).path.dirs == "++-++-++"
 
 
 def test_steep_consequence_skips_low_chromatic():
