@@ -222,6 +222,9 @@ def cmd_find_steep_path(args) -> int:
 
 def cmd_h_function(args) -> int:
     result = V.h_function(args.k, args.budget)
+    if result is BUDGET_EXCEEDED:
+        print(json.dumps({"result": "budget_exceeded", "budget": args.budget}))
+        return EXIT_INDETERMINATE
     if args.json:
         print(json.dumps(result.to_json_dict(), separators=(",", ":")))
     else:

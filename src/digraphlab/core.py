@@ -95,6 +95,59 @@ class Digraph:
                 masks[v] |= 1 << u
         return tuple(masks)
 
+    # The hom engine's per-digraph data, built on first use and shared by
+    # every search the digraph takes part in.
+
+    @cached_property
+    def loops(self) -> tuple[int, ...]:
+        """The vertices that carry a loop, ascending."""
+        return tuple(u for u, v in self.arcs if u == v)
+
+    @cached_property
+    def loop_mask(self) -> int:
+        """Bit x is set iff vertex x carries a loop."""
+        return sum(1 << u for u in self.loops)
+
+    @cached_property
+    def out_neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Heads of the arcs leaving each vertex, the vertex itself left out."""
+        outs: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.arcs:
+            if u != v:
+                outs[u].append(v)
+        return tuple(map(tuple, outs))
+
+    @cached_property
+    def in_neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Tails of the arcs entering each vertex, the vertex itself left out."""
+        ins: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.arcs:
+            if u != v:
+                ins[v].append(u)
+        return tuple(map(tuple, ins))
+
+    @cached_property
+    def degree_order(self) -> tuple[int, ...]:
+        """Vertices by descending ``neighbour_masks`` degree, lowest index
+        first on ties."""
+        masks = self.neighbour_masks
+        return tuple(sorted(range(self.n), key=lambda x: (-masks[x].bit_count(), x)))
+
+    @cached_property
+    def degree_rank(self) -> tuple[int, ...]:
+        """``degree_rank[x]`` is the position of x in ``degree_order``."""
+        rank = [0] * self.n
+        for r, x in enumerate(self.degree_order):
+            rank[x] = r
+        return tuple(rank)
+
+    @cached_property
+    def supports(self) -> dict[int, tuple[int, int]]:
+        """Memo of the hom engine, filled as searches into this digraph run:
+        vertex mask D -> (union of ``out_masks``, union of ``in_masks``)
+        over the vertices of D."""
+        return {}
+
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arc_set
 

@@ -2,8 +2,10 @@
 
 Maintained arc consistency (MAC): an AC-3 fixpoint over the source's arcs,
 kept after every assignment of a backtracking search that tries the smallest
-domain first.  Domains are int bitmasks over the target's vertices; the
-constraint index is built once per search, every domain change goes on a
+domain first.  Domains are int bitmasks over the target's vertices.  The
+source's constraint index and branching order and the target's loop mask and
+support unions are cached on the two Digraph objects, so the many searches
+one digraph takes part in build them once.  Every domain change goes on a
 trail that is undone on backtrack, and the search runs on an explicit stack
 of frames, so no source is too large for the Python recursion limit.  For
 targets whose obstruction sets are trees, arc consistency alone decides; the
@@ -93,36 +95,28 @@ def arc_consistency(problem: HomProblem) -> Optional[HomProblem]:
 
 
 class _Constraints:
-    """The binary constraints of a source g over a target h, indexed once.
+    """The binary constraints of a source g over a target h.
 
-    ``succ[u]``/``pred[u]`` are u's out- and in-neighbours in g without u
-    itself; source loops are unary filters applied by ``fixpoint``.  Domains
-    are int bitmasks over V(h).  A domain D supports, along an arc, the
-    union of the target masks of D's values; ``supports`` memoises that pair
-    of unions (out-arcs, in-arcs) per domain.
+    The arcs at u are g's ``out_neighbours[u]``/``in_neighbours[u]``, which
+    leave u out; source loops are unary filters applied by ``fixpoint``.
+    Domains are int bitmasks over V(h).  A domain D supports, along an arc,
+    the union of the target masks of D's values; ``h.supports`` memoises
+    that pair of unions (out-arcs, in-arcs) per domain for every search
+    into h.
     """
 
-    __slots__ = ("g", "h", "loops", "succ", "pred", "supports")
+    __slots__ = ("g", "h")
 
     def __init__(self, g: Digraph, h: Digraph):
         self.g = g
         self.h = h
-        self.loops = [u for u in range(g.n) if u in g.out_sets[u]]
-        if self.loops:
-            self.succ = [[v for v in g.out_sets[u] if v != u] for u in range(g.n)]
-            self.pred = [[v for v in g.in_sets[u] if v != u] for u in range(g.n)]
-        else:
-            self.succ, self.pred = g.out_sets, g.in_sets
-        self.supports: dict[int, tuple[int, int]] = {}
 
     def fixpoint(self, doms: list[int]) -> bool:
         """Filter doms in place to the largest arc-consistent domains;
         False when one of them is empty."""
-        if self.loops:
-            h = self.h
-            loop_mask = sum(1 << x for x in range(h.n) if h.out_masks[x] >> x & 1)
-            for u in self.loops:
-                doms[u] &= loop_mask
+        loop_mask = self.h.loop_mask
+        for u in self.g.loops:
+            doms[u] &= loop_mask
         return self.propagate(doms, set(range(self.g.n)), []) and all(doms)
 
     def _support(self, d: int) -> tuple[int, int]:
@@ -135,7 +129,7 @@ class _Constraints:
             out_sup |= out_masks[x]
             in_sup |= in_masks[x]
             rest ^= low
-        self.supports[d] = pair = (out_sup, in_sup)
+        self.h.supports[d] = pair = (out_sup, in_sup)
         return pair
 
     def propagate(self, doms: list[int], queue: set[int], trail: list[int]) -> bool:
@@ -144,7 +138,7 @@ class _Constraints:
         Each domain a revision replaces is pushed on ``trail`` as a vertex,
         old-mask pair.  Returns False on a wipeout, with doms partly filtered.
         """
-        succ, pred, supports = self.succ, self.pred, self.supports
+        succ, pred, supports = self.g.out_neighbours, self.g.in_neighbours, self.h.supports
         push = trail.append
         while queue:
             u = queue.pop()
@@ -176,19 +170,18 @@ class _Constraints:
 class _Buckets:
     """Unassigned vertices (domain size >= 2) bucketed by domain size.
 
-    Bucket s is a bitmask over each vertex's rank in ``(-deg, x)`` order, so
-    the lowest set bit of the smallest non-empty bucket is the minimum of
-    ``(len(dom), -deg, x)`` without a scan over the vertices.
+    Bucket s is a bitmask over each vertex's rank in the source's
+    ``degree_order``, so the lowest set bit of the smallest non-empty bucket
+    is the minimum of ``(len(dom), -deg, x)`` without a scan over the
+    vertices.
     """
 
     __slots__ = ("doms", "order", "rank", "size", "buckets", "nonempty")
 
-    def __init__(self, doms: list[int], degs: list[int], width: int):
+    def __init__(self, doms: list[int], g: Digraph, width: int):
         self.doms = doms
-        self.order = sorted(range(len(doms)), key=lambda x: (-degs[x], x))
-        self.rank = [0] * len(doms)
-        for r, x in enumerate(self.order):
-            self.rank[x] = r
+        self.order = g.degree_order
+        self.rank = g.degree_rank
         self.size = [1] * len(doms)
         self.buckets = [0] * (width + 1)
         self.nonempty = 0
@@ -221,7 +214,7 @@ class _Buckets:
         return self.order[(m & -m).bit_length() - 1]
 
 
-def _mac_search(cons: _Constraints, doms: list[int], degs: list[int], budget: int):
+def _mac_search(cons: _Constraints, doms: list[int], budget: int):
     """MAC backtracking from arc-consistent doms: smallest domain first (big
     source degree, then low index, breaks ties), values ascending.
 
@@ -229,7 +222,7 @@ def _mac_search(cons: _Constraints, doms: list[int], degs: list[int], budget: in
     more than ``budget`` values have been tried.  A frame is [vertex,
     values not yet tried, trail length before its assignment].
     """
-    buckets = _Buckets(doms, degs, cons.h.n)
+    buckets = _Buckets(doms, cons.g, cons.h.n)
     trail: list[int] = []
     frames: list[list[int]] = []
     nodes = 0
@@ -266,7 +259,7 @@ def _mac_search(cons: _Constraints, doms: list[int], degs: list[int], budget: in
 
 def _is_complete_symmetric(h: Digraph) -> bool:
     # n(n-1) distinct loopless arcs can only be all ordered pairs
-    return len(h.arcs) == h.n * (h.n - 1) and not h.has_loop()
+    return len(h.arcs) == h.n * (h.n - 1) and not h.loops
 
 
 def _hom_exists_digraph(g: Digraph, h: Digraph, budget: int) -> HomResult:
@@ -275,7 +268,6 @@ def _hom_exists_digraph(g: Digraph, h: Digraph, budget: int) -> HomResult:
     if h.n == 0:
         return None
     doms = [(1 << h.n) - 1] * g.n
-    degs = [m.bit_count() for m in g.neighbour_masks]
     if _is_complete_symmetric(h):
         # all target vertices are interchangeable: along any fixed source
         # order, a hom can be relabelled so the i-th vertex uses a colour
@@ -283,13 +275,14 @@ def _hom_exists_digraph(g: Digraph, h: Digraph, budget: int) -> HomResult:
         # oversized clique wipe out by arc consistency alone; the rest is
         # clamped along descending degree.
         clique = _greedy_clique(g.neighbour_masks, 8)
-        rest = sorted(set(range(g.n)) - set(clique), key=lambda u: (-degs[u], u))
+        in_clique = set(clique)
+        rest = [u for u in g.degree_order if u not in in_clique]
         for pos, u in enumerate(clique + rest):
             doms[u] = (2 << min(pos, h.n - 1)) - 1
     cons = _Constraints(g, h)
     if not cons.fixpoint(doms):
         return None
-    assignment = _mac_search(cons, doms, degs, budget)
+    assignment = _mac_search(cons, doms, budget)
     if assignment is None or assignment is BUDGET_EXCEEDED:
         return assignment
     witness = Hom(assignment, g.name, h.name)

@@ -13,9 +13,9 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from functools import wraps
-from itertools import permutations, product as iter_product
+from itertools import product as iter_product
 from math import ceil
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .coloring import check_colouring, chromatic_number
 from .constructions import (
@@ -43,6 +43,7 @@ from .homs import (
     BUDGET_EXCEEDED,
     DEFAULT_BUDGET,
     HomProblem,
+    _Budget,
     arc_consistency,
     brute_force_hom,
     hom_equivalent,
@@ -176,14 +177,19 @@ def all_digraphs(max_vertices: int, loops: bool = True) -> Iterator[Digraph]:
             yield make_digraph(n, arcs)
 
 
-def _canonical(g: Digraph) -> tuple:
-    """Minimum relabelled arc tuple over all vertex permutations (tiny n only)."""
-    best = None
-    for perm in permutations(range(g.n)):
-        arcs = tuple(sorted((perm[u], perm[v]) for u, v in g.arcs))
-        if best is None or arcs < best:
-            best = arcs
-    return (g.n, best)
+def _tree_code(n: int, arcs: Sequence[tuple[int, int]]) -> tuple:
+    """Isomorphism key of an oriented tree: the least rooted code over all
+    roots.  The rooted code of x is the sorted tuple of (0, code of y) for
+    each arc x -> y and (1, code of y) for each arc y -> x, y a child of x."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        adj[u].append((0, v))
+        adj[v].append((1, u))
+
+    def code(x: int, parent: int) -> tuple:
+        return tuple(sorted((d, code(y, x)) for d, y in adj[x] if y != parent))
+
+    return min(code(r, -1) for r in range(n))
 
 
 def _prufer_trees(n: int) -> Iterator[list[tuple[int, int]]]:
@@ -213,7 +219,13 @@ def _prufer_trees(n: int) -> Iterator[list[tuple[int, int]]]:
 
 
 def oriented_trees(max_arcs: int) -> list[Digraph]:
-    """All oriented trees with at most max_arcs arcs, up to isomorphism."""
+    """All oriented trees with at most max_arcs arcs, up to isomorphism.
+
+    Labelled trees are enumerated by arc count, Pruefer sequence and
+    orientation mask, and the first of each isomorphism class is kept.  The
+    class key is a rooted code (``_tree_code``): the least, over all roots,
+    of the sorted tuple of (arc direction, child code) pairs.
+    """
     seen = set()
     out = []
     for m in range(max_arcs + 1):
@@ -223,11 +235,10 @@ def oriented_trees(max_arcs: int) -> list[Digraph]:
                     (u, v) if not mask >> i & 1 else (v, u)
                     for i, (u, v) in enumerate(edges)
                 ]
-                t = make_digraph(m + 1, arcs)
-                key = _canonical(t)
+                key = _tree_code(m + 1, arcs)
                 if key not in seen:
                     seen.add(key)
-                    out.append(t)
+                    out.append(make_digraph(m + 1, arcs))
     return out
 
 
@@ -863,11 +874,13 @@ class HFunctionResult:
         }
 
 
-def h_function(k: int, budget: int = DEFAULT_BUDGET) -> HFunctionResult:
+def h_function(k: int, budget: int = DEFAULT_BUDGET) -> Union[HFunctionResult, _Budget]:
     """Minimum dual chromatic number over the (3k, k-1)-reversal family.
 
     Every row's chromatic number is cross-checked by a hom decision into the
-    complete graph of that order and a refusal one order below.
+    complete graph of that order and a refusal one order below.  Returns
+    BUDGET_EXCEEDED when one of those decisions runs out of budget; a
+    decided cross-check that disagrees raises AssertionError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -884,6 +897,8 @@ def h_function(k: int, budget: int = DEFAULT_BUDGET) -> HFunctionResult:
         down = (
             hom_exists(dual, complete(res.chi - 1), budget) if res.chi >= 1 else None
         )
+        if up is BUDGET_EXCEEDED or down is BUDGET_EXCEEDED:
+            return BUDGET_EXCEEDED
         cross = isinstance(up, Hom) and down is None
         rows.append(
             {
@@ -905,6 +920,8 @@ def h_function(k: int, budget: int = DEFAULT_BUDGET) -> HFunctionResult:
 def verify_h_function(k: int, expected: Optional[int] = None, budget: int = DEFAULT_BUDGET) -> Outcome:
     params = {"k": k, "expected": expected}
     result = h_function(k, budget)
+    if result is BUDGET_EXCEEDED:
+        return params, INDETERMINATE, {"budget": budget}
     ok = all(row["cross_checked"] for row in result.rows)
     ok = ok and result.value <= 3 * k
     if expected is not None:

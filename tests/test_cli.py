@@ -126,6 +126,12 @@ def test_h_function_json(capsys):
     assert code == 0 and payload["value"] == 3 and payload["k"] == 1
 
 
+def test_h_function_budget_exhaustion_exits_two(capsys):
+    code, out, err = run(capsys, "h-function", "--k", "2", "--budget", "1")
+    assert code == 2 and json.loads(out) == {"result": "budget_exceeded", "budget": 1}
+    assert err == ""
+
+
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main(["chi", "--input", "x.json", "--frobnicate"])

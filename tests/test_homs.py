@@ -179,6 +179,53 @@ def test_engine_matches_oracle_on_random_pairs():
             assert validate_hom(fast, g, h)
 
 
+def _cold(d):
+    """A fresh Digraph object equal to d, none of its cached data built."""
+    return d.rename(d.name)
+
+
+def _budget_boundary(g, h):
+    """Least budget that answers, and the answer, each try on cold copies."""
+    budget = 1
+    while (r := hom_exists(_cold(g), _cold(h), budget)) is BUDGET_EXCEEDED:
+        budget += 1
+    return budget, r
+
+
+def test_warm_caches_change_no_answer():
+    # one source meets many targets and one target many sources (some
+    # digraphs play both parts), so every search after the first runs on
+    # data cached by earlier ones; arc_consistency shares the same caches
+    rng = random.Random(41)
+    sources = [
+        random_digraph(rng, rng.randint(2, 7), rng.uniform(0.15, 0.5), loop_p=0.1)
+        for _ in range(10)
+    ]
+    targets = [
+        random_digraph(rng, rng.randint(2, 5), rng.uniform(0.3, 0.7), loop_p=0.15)
+        for _ in range(6)
+    ]
+    sources += [make_digraph(0, []), tournament(4), symmetrize(path(4))]
+    targets += [make_digraph(0, []), complete(2), complete(3), sources[0], sources[1]]
+    cold = {(i, j): _budget_boundary(g, h) for i, g in enumerate(sources) for j, h in enumerate(targets)}
+    assert sum(nodes > 1 for nodes, _ in cold.values()) > 50
+    for i, g in enumerate(sources):
+        for j, h in enumerate(targets):
+            if (i + j) % 3 == 0:
+                ac = arc_consistency(HomProblem(g, h))
+                if ac is None:
+                    assert brute_force_hom(g, h) is None
+            w = hom_exists(g, h)
+            assert (w is not None) == (brute_force_hom(g, h) is not None)
+            assert w == cold[i, j][1]
+    assert all(h.supports for h in targets if h.n)
+    for (i, j), (nodes, expected) in cold.items():
+        g, h = sources[i], targets[j]
+        assert hom_exists(g, h, budget=nodes) == expected
+        if nodes > 1:
+            assert hom_exists(g, h, budget=nodes - 1) is BUDGET_EXCEEDED
+
+
 def test_more_arcs_never_creates_homs():
     rng = random.Random(29)
     for _ in range(60):

@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -136,6 +136,27 @@ def test_duality_star_random_sources():
     assert rep.passed
 
 
+def _canonical(g):
+    """Reference isomorphism key: the minimum relabelled arc tuple over all
+    vertex permutations (tiny n only)."""
+    best = None
+    for perm in permutations(range(g.n)):
+        arcs = tuple(sorted((perm[u], perm[v]) for u, v in g.arcs))
+        if best is None or arcs < best:
+            best = arcs
+    return (g.n, best)
+
+
+def _labelled_oriented_trees(max_arcs):
+    """Every labelled oriented tree, in the enumeration order of oriented_trees."""
+    for m in range(max_arcs + 1):
+        for edges in V._prufer_trees(m + 1):
+            for mask in range(1 << m):
+                yield make_digraph(m + 1, [
+                    (u, v) if not mask >> i & 1 else (v, u) for i, (u, v) in enumerate(edges)
+                ])
+
+
 def test_oriented_tree_enumeration_counts():
     # hand-counted: trivial, 1 arc, then 3 two-arc paths, 4+4 three-arc shapes
     assert len(V.oriented_trees(0)) == 1
@@ -146,7 +167,32 @@ def test_oriented_tree_enumeration_counts():
 
     trees = V.oriented_trees(4)
     assert all(is_oriented_tree(t) for t in trees)
-    assert len({V._canonical(t) for t in trees}) == len(trees)
+    assert len({_canonical(t) for t in trees}) == len(trees)
+
+
+@pytest.mark.parametrize("max_arcs", range(5))
+def test_oriented_trees_match_the_permutation_keyed_enumeration(max_arcs):
+    seen, expected = set(), []
+    for t in _labelled_oriented_trees(max_arcs):
+        key = _canonical(t)
+        if key not in seen:
+            seen.add(key)
+            expected.append((t.n, t.arcs))
+    assert [(t.n, t.arcs) for t in V.oriented_trees(max_arcs)] == expected
+
+
+def test_tree_code_splits_labelled_trees_like_the_permutation_form():
+    codes, canons = {}, {}
+    count = 0
+    for t in _labelled_oriented_trees(4):
+        count += 1
+        code, canon = V._tree_code(t.n, t.arcs), _canonical(t)
+        codes.setdefault(code, set()).add(canon)
+        canons.setdefault(canon, set()).add(code)
+    assert count == 2143
+    assert all(len(c) == 1 for c in codes.values())
+    assert all(len(c) == 1 for c in canons.values())
+    assert len(codes) == len(canons) == 40
 
 
 def test_inadprod_31():
@@ -274,6 +320,20 @@ def test_h_function_guards():
         h_function(4)
 
 
+def test_h_function_budget_and_mismatch(monkeypatch):
+    from dataclasses import replace
+
+    from digraphlab import BUDGET_EXCEEDED
+
+    assert h_function(2, budget=1) is BUDGET_EXCEEDED
+    # a decided cross-check that disagrees is a bug, not an indeterminate answer
+    real = V.chromatic_number
+    monkeypatch.setattr(V, "chromatic_number", lambda g: replace(real(g), chi=real(g).chi + 1))
+    with pytest.raises(AssertionError, match="cross-check"):
+        h_function(1)
+    assert V.run_job(("h", "h-function", {"k": 1})).verdict == V.ERROR
+
+
 def test_chick_table_small():
     rep = V.verify_chick_table(max_k=2, max_n=6)
     assert rep.passed
@@ -372,6 +432,7 @@ def test_equivalence_verifiers_agree_with_enumeration():
         (V.verify_yz, {"n": 4, "k": 2}),
         (V.verify_steep_path, {"ell": 3, "consequence_samples": 3}),
         (V.verify_width1_completeness, {"random_sources": 5}),
+        (V.verify_h_function, {"k": 2}),
     ],
 )
 def test_exhausted_budget_is_indeterminate(verifier, kwargs):
