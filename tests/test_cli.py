@@ -325,3 +325,40 @@ def test_verify_cli_bytes_are_pinned(tmp_path, capsys, argv):
     code, out, _ = run(capsys, "verify", *args, "--json")
     assert code == 0 and json.loads(out)["verdict"] == "PASS"
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_CLI_DIGESTS[argv]
+
+
+def _dot(name, n, arcs):
+    body = [f'  label="{name}";'] + [f"  {v};" for v in range(n)] + [f"  {u} -> {v};" for u, v in arcs]
+    return "\n".join(["digraph {", *body, "}"]) + "\n"
+
+
+#: factor file names -> (JSON stdout, DOT stdout) of `construct --family product`.
+PRODUCT_CLI_OUTPUT = {
+    ("p1", "c3"): (
+        '{"n":6,"arcs":[[0,4],[1,5],[2,3]],"name":"product(P_1,C3)"}\n',
+        _dot("product(P_1,C3)", 6, [(0, 4), (1, 5), (2, 3)]),
+    ),
+    ("p1", "k2", "c3"): (
+        '{"n":12,"arcs":[[0,10],[1,11],[2,9],[3,7],[4,8],[5,6]],"name":"product(P_1,K_2,C3)"}\n',
+        _dot("product(P_1,K_2,C3)", 12, [(0, 10), (1, 11), (2, 9), (3, 7), (4, 8), (5, 6)]),
+    ),
+    # one factor is printed unchanged
+    ("c3",): (
+        '{"n":3,"arcs":[[0,1],[1,2],[2,0]],"name":"C3"}\n',
+        _dot("C3", 3, [(0, 1), (1, 2), (2, 0)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("factors", PRODUCT_CLI_OUTPUT, ids="x".join)
+def test_construct_product_bytes_are_pinned(tmp_path, capsys, factors):
+    from digraphlab import complete, make_digraph, path, to_json
+
+    graphs = {"p1": path(1), "k2": complete(2), "c3": make_digraph(3, [(0, 1), (1, 2), (2, 0)], name="C3")}
+    files = []
+    for name in factors:
+        (tmp_path / f"{name}.json").write_text(to_json(graphs[name]))
+        files.append(str(tmp_path / f"{name}.json"))
+    as_json, as_dot = PRODUCT_CLI_OUTPUT[factors]
+    assert run(capsys, "construct", "--family", "product", "--factors", *files) == (0, as_json, "")
+    assert run(capsys, "construct", "--family", "product", "--factors", *files, "--dot") == (0, as_dot, "")
