@@ -28,7 +28,7 @@ from .constructions import (
     tournament,
     tree_dual,
 )
-from .product import ProductHom, ProductSpec, categorical_product
+from .product import ProductSpec, categorical_product
 from .homs import (
     BUDGET_EXCEEDED,
     DEFAULT_BUDGET,

@@ -296,11 +296,13 @@ def _jsonable(label):
 
 
 def to_dot(g: Digraph, collapse_symmetric: bool = False) -> str:
-    """DOT export.  With ``collapse_symmetric``, mutual arc pairs are drawn
-    once as undirected edges."""
+    """DOT export, labelled by the name with ``\\`` and ``"`` escaped.  With
+    ``collapse_symmetric``, mutual arc pairs are drawn once as undirected
+    edges."""
     lines = ["digraph {"]
     if g.name:
-        lines.append(f'  label="{g.name}";')
+        label = g.name.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  label="{label}";')
     for v in range(g.n):
         lines.append(f"  {v};")
     drawn = set()

@@ -1,4 +1,4 @@
-"""Homomorphism decision engine.
+"""Homomorphism decision engine over plain Digraph sources and targets.
 
 Maintained arc consistency (MAC): an AC-3 fixpoint over the source's arcs,
 kept after every assignment of a backtracking search that tries the smallest
@@ -9,7 +9,8 @@ one digraph takes part in build them once.  Every domain change goes on a
 trail that is undone on backtrack, and the search runs on an explicit stack
 of frames, so no source is too large for the Python recursion limit.  For
 targets whose obstruction sets are trees, arc consistency alone decides; the
-search then never actually backtracks.
+search then never actually backtracks.  A categorical product is searched
+as the digraph ``ProductSpec.materialize()`` builds.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Optional, Union
 
 from .coloring import _greedy_clique
 from .core import Digraph, Hom, SizeLimitExceeded, validate_hom
-from .product import ProductHom, ProductSpec
 
 #: Default node-expansion limit for one search.
 DEFAULT_BUDGET = 10_000_000
@@ -45,53 +45,34 @@ class _Budget(Enum):
 
 BUDGET_EXCEEDED = _Budget.EXCEEDED
 
-HomResult = Union[Hom, ProductHom, None, _Budget]
+HomResult = Union[Hom, None, _Budget]
 
 
 @dataclass
 class HomProblem:
-    """A hom-search instance with per-source-vertex candidate sets.
-
-    For a plain digraph target, ``domains[u]`` is a set of target vertices.
-    For a product target, ``domains[i][u]`` is the domain of u in factor i.
-    """
+    """A hom-search instance: ``domains[u]`` is the set of target vertices
+    u may still map to (all of them by default)."""
 
     source: Digraph
-    target: Union[Digraph, ProductSpec]
-    domains: Optional[list] = None
-    budget: int = DEFAULT_BUDGET
+    target: Digraph
+    domains: Optional[list[set[int]]] = None
 
     def __post_init__(self):
         if self.domains is None:
-            self.domains = self._full_domains()
-
-    def _full_domains(self):
-        if isinstance(self.target, ProductSpec):
-            return [
-                [set(range(f.n)) for _ in range(self.source.n)]
-                for f in self.target.factors
-            ]
-        return [set(range(self.target.n)) for _ in range(self.source.n)]
+            self.domains = [set(range(self.target.n)) for _ in range(self.source.n)]
 
 
 def arc_consistency(problem: HomProblem) -> Optional[HomProblem]:
     """Largest domain-filtering fixpoint; None means provably no hom.
 
     A value x survives for u iff every arc at u can still be matched by some
-    surviving value at the other endpoint.  For product targets the filter
-    runs factor by factor.
+    surviving value at the other endpoint.
     """
-    g = problem.source
-    product = isinstance(problem.target, ProductSpec)
-    targets = problem.target.factors if product else (problem.target,)
-    domain_lists = problem.domains if product else (problem.domains,)
-    reduced = []
-    for h, domains in zip(targets, domain_lists):
-        doms = [sum(1 << x for x in d) for d in domains]
-        if not _Constraints(g, h).fixpoint(doms):
-            return None
-        reduced.append([{x for x in range(h.n) if d >> x & 1} for d in doms])
-    return HomProblem(g, problem.target, reduced if product else reduced[0], problem.budget)
+    g, h = problem.source, problem.target
+    doms = [sum(1 << x for x in d) for d in problem.domains]
+    if not _Constraints(g, h).fixpoint(doms):
+        return None
+    return HomProblem(g, h, [{x for x in range(h.n) if d >> x & 1} for d in doms])
 
 
 class _Constraints:
@@ -262,7 +243,15 @@ def _is_complete_symmetric(h: Digraph) -> bool:
     return len(h.arcs) == h.n * (h.n - 1) and not h.loops
 
 
-def _hom_exists_digraph(g: Digraph, h: Digraph, budget: int) -> HomResult:
+def hom_exists(g: Digraph, h: Digraph, budget: int = DEFAULT_BUDGET) -> HomResult:
+    """Search for a hom of g into h.
+
+    Returns a validated witness, None when the exhaustive search proves there
+    is none, or BUDGET_EXCEEDED when more than ``budget`` values were tried
+    (no claim).
+    """
+    if budget <= 0:
+        raise ValueError("budget must be positive")
     if g.n == 0:
         return Hom((), g.name, h.name)
     if h.n == 0:
@@ -288,35 +277,6 @@ def _hom_exists_digraph(g: Digraph, h: Digraph, budget: int) -> HomResult:
     witness = Hom(assignment, g.name, h.name)
     assert validate_hom(witness, g, h)
     return witness
-
-
-def hom_exists(g: Digraph, target: Union[Digraph, ProductSpec], budget: int = DEFAULT_BUDGET) -> HomResult:
-    """Search for a hom of g into the target.
-
-    Returns a validated witness, None when the exhaustive search proves there
-    is none, or BUDGET_EXCEEDED when the node limit was hit (no claim).
-    Product targets are solved one factor at a time; the tuple witness is
-    assembled from the factor homs and never materialized.
-    """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    if isinstance(target, ProductSpec):
-        homs = []
-        exceeded = False
-        for f in target.factors:
-            r = _hom_exists_digraph(g, f, budget)
-            if r is None:
-                return None
-            if r is BUDGET_EXCEEDED:
-                exceeded = True
-                continue
-            homs.append(r)
-        if exceeded:
-            return BUDGET_EXCEEDED
-        witness = ProductHom(tuple(homs))
-        assert witness.validate(g, target)
-        return witness
-    return _hom_exists_digraph(g, target, budget)
 
 
 @dataclass(frozen=True)

@@ -1061,9 +1061,7 @@ def verify_width1_completeness(
     checked = 0
     for target in targets:
         for g in sources:
-            problem = HomProblem(g, target, budget=budget)
-            reduced = arc_consistency(problem)
-            ac_says_yes = reduced is not None
+            ac_says_yes = arc_consistency(HomProblem(g, target)) is not None
             truth = hom_exists(g, target, budget)
             if truth is BUDGET_EXCEEDED:
                 return params, INDETERMINATE, {"budget": budget}

@@ -362,3 +362,10 @@ def test_construct_product_bytes_are_pinned(tmp_path, capsys, factors):
     as_json, as_dot = PRODUCT_CLI_OUTPUT[factors]
     assert run(capsys, "construct", "--family", "product", "--factors", *files) == (0, as_json, "")
     assert run(capsys, "construct", "--family", "product", "--factors", *files, "--dot") == (0, as_dot, "")
+
+
+def test_dot_label_of_a_quoted_name_is_escaped(tmp_path, capsys):
+    q = tmp_path / "q.json"
+    q.write_text('{"n":2,"arcs":[[0,1]],"name":"say \\"hi\\""}')
+    code, out, _ = run(capsys, "construct", "--family", "arc-graph", "--k", "0", "--input", str(q), "--dot")
+    assert code == 0 and '  label="say \\"hi\\"";\n' in out

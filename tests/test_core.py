@@ -197,6 +197,11 @@ def test_dot_export():
     assert "0 -> 1;" in dot and dot.startswith("digraph {")
 
 
+def test_dot_label_escapes_quotes_and_backslashes():
+    assert 'label="say \\"hi\\" \\\\ bye";' in to_dot(make_digraph(1, [], name='say "hi" \\ bye'))
+    assert 'label="P_1";' in to_dot(path(1))
+
+
 def test_dot_collapse_symmetric():
     g = symmetrize(path(1))
     dot = to_dot(g, collapse_symmetric=True)

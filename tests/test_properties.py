@@ -90,9 +90,9 @@ def test_algebraic_length_is_min_forward_target(dirs):
 @given(digraphs(max_n=3), digraphs(max_n=3))
 @settings(max_examples=40, deadline=None)
 def test_product_factorization(f1, f2):
-    spec = categorical_product([f1, f2])
+    prod = categorical_product([f1, f2]).materialize()
     g = path(2)
-    combined = hom_exists(g, spec)
+    combined = hom_exists(g, prod)
     assert (combined is not None) == (
         hom_exists(g, f1) is not None and hom_exists(g, f2) is not None
     )
