@@ -5,15 +5,19 @@ works on the digraph's neighbour masks.  One DSATUR search on an explicit
 stack decides k-colourability with colour-symmetry breaking; its first
 descent with n colours never backtracks and is the greedy upper bound.  A
 greedy clique gives the lower bound, and one decision runs per candidate k.
+The search picks its next vertex from saturation buckets, int bitmasks over
+the digraph's cached degree order, kept up to date as colours are set and
+undone, so no search node scans every vertex.  An optional budget caps the
+colour assignments of all decisions together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
-from typing import Optional, Sequence
+from math import inf, log2
+from typing import Optional, Sequence, Union
 
-from .core import Digraph
+from .core import BUDGET_EXCEEDED, Digraph, _Budget
 from .constructions import arc_graph
 
 
@@ -62,75 +66,119 @@ def _greedy_clique(masks: Sequence[int], starts: int) -> list[int]:
     return best
 
 
-def _decide_colourable(masks: Sequence[int], k: int) -> Optional[list[int]]:
+def _decide_colourable(
+    g: Digraph, nbrs: Sequence[Sequence[int]], k: int, budget: float
+) -> tuple[Union[list[int], None, _Budget], int]:
     """Backtracking k-colourability decision in dynamic saturation order
     (DSATUR): highest saturation first, then highest degree, then lowest
-    index; colours ascending.
+    index; colours ascending.  ``nbrs[v]`` lists the neighbours of v.
 
     Colour symmetry is broken by allowing at most one fresh colour per step.
     With k = n the first descent never backtracks and is the greedy DSATUR
     colouring.  The search runs on an explicit stack; a frame is [vertex,
     next colour to try, colours in use before it, neighbours whose
     saturation its colour set].
+
+    The next vertex comes from saturation buckets: ``buckets[s]`` holds, as
+    one int, the uncoloured vertices with s neighbour colours, vertex v at
+    bit ``g.degree_rank[v]``.  The rank orders by descending degree, then
+    ascending index, so the lowest set bit of the highest non-empty bucket
+    is the DSATUR choice.  A vertex changes bucket only when a neighbour's
+    colour is set or undone, so a node costs work in its changed
+    neighbours, not in n.
+
+    Returns the colouring, None when there is none, or BUDGET_EXCEEDED once
+    more than ``budget`` colours have been assigned; and the number of
+    assignments made.
     """
-    n = len(masks)
+    n = g.n
+    order = g.degree_order
+    bits = [1 << r for r in g.degree_rank]
     colours = [-1] * n
     sat = [0] * n  # bitmask of neighbour colours
-    degs = [m.bit_count() for m in masks]
-    nbrs = [list(_bits(m)) for m in masks]
+    buckets = [0] * (k + 1)
+    buckets[0] = (1 << n) - 1
     frames: list[list] = []
     used = 0
+    assigned = 0
     while len(frames) < n:
-        u = max(
-            (v for v in range(n) if colours[v] < 0),
-            key=lambda v: (sat[v].bit_count(), degs[v], -v),
-        )
-        frames.append([u, 0, used, ()])
+        s = used  # no saturation exceeds the colours in use
+        while not buckets[s]:
+            s -= 1
+        low = buckets[s] & -buckets[s]
+        buckets[s] ^= low
+        frames.append([order[low.bit_length() - 1], 0, used, ()])
         while True:
             if not frames:
-                return None
+                return None, assigned
             frame = frames[-1]
             u, c, used, changed = frame
             if changed:
                 bit = 1 << c - 1
                 for v in changed:
                     sat[v] ^= bit
-            limit = min(k, used + 1)
+                    if colours[v] < 0:
+                        s = sat[v].bit_count()
+                        b = bits[v]
+                        buckets[s + 1] ^= b
+                        buckets[s] |= b
+            limit = used + 1 if used < k else k
             while c < limit and sat[u] >> c & 1:
                 c += 1
             if c == limit:
                 colours[u] = -1
+                buckets[sat[u].bit_count()] |= bits[u]
                 frames.pop()
                 continue
+            assigned += 1
+            if assigned > budget:
+                return BUDGET_EXCEEDED, assigned
             colours[u] = c
             bit = 1 << c
             changed = [v for v in nbrs[u] if not sat[v] & bit]
             for v in changed:
                 sat[v] |= bit
+                if colours[v] < 0:
+                    s = sat[v].bit_count()
+                    b = bits[v]
+                    buckets[s - 1] ^= b
+                    buckets[s] |= b
             frame[1], frame[3] = c + 1, changed
-            used = max(used, c + 1)
+            if c == used:
+                used += 1
             break
-    return colours
+    return colours, assigned
 
 
-def chromatic_number(g: Digraph, limit: Optional[int] = None) -> ColouringResult:
+def chromatic_number(
+    g: Digraph, limit: Optional[int] = None, budget: Optional[int] = None
+) -> Union[ColouringResult, _Budget]:
     """Exact chromatic number of (the symmetrisation of) g.
 
     Conventions: 0 for the empty digraph, 1 when there are vertices but no
     arcs.  A loop makes the chromatic number undefined and is rejected.
     With ``limit``, values above it are reported as exceeded instead of
-    computed.
+    computed.  With ``budget``, BUDGET_EXCEEDED is returned once more than
+    that many colours have been assigned over all k-decisions; None means
+    no limit.
     """
     if g.has_loop():
         raise ValueError("chromatic number undefined: digraph has a loop")
     if limit is not None and limit < 1:
         raise ValueError("colour limit must be >= 1")
+    if budget is not None and budget <= 0:
+        raise ValueError("budget must be positive")
     if g.n == 0:
         return ColouringResult(0, (), None)
     masks = g.neighbour_masks
     if not any(masks):
         return ColouringResult(1, (0,) * g.n, (0,))
-    greedy = _decide_colourable(masks, g.n)
+    nbrs = [list(_bits(m)) for m in masks]
+    left = inf if budget is None else budget
+    greedy, spent = _decide_colourable(g, nbrs, g.n, left)
+    if greedy is BUDGET_EXCEEDED:
+        return BUDGET_EXCEEDED
+    left -= spent
     ub = max(greedy) + 1
     clique = sorted(_greedy_clique(masks, 24))
     lb = max(len(clique), 2)
@@ -138,7 +186,10 @@ def chromatic_number(g: Digraph, limit: Optional[int] = None) -> ColouringResult
     for k in range(lb, ub):
         if limit is not None and k > limit:
             return ColouringResult(None, None, None, exceeded_limit=True)
-        attempt = _decide_colourable(masks, k)
+        attempt, spent = _decide_colourable(g, nbrs, k, left)
+        if attempt is BUDGET_EXCEEDED:
+            return BUDGET_EXCEEDED
+        left -= spent
         if attempt is not None:
             ub = k
             best_colouring = attempt

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -156,6 +157,23 @@ class Digraph:
 
     def rename(self, name: Optional[str]) -> "Digraph":
         return Digraph(self.n, self.arcs, name, self.labels)
+
+
+class _Budget(Enum):
+    """Outcome of a hom or colouring search that ran out of budget (no claim made)."""
+
+    EXCEEDED = "BUDGET_EXCEEDED"
+
+    def __repr__(self) -> str:
+        return self.value
+
+    __str__ = __repr__
+
+    def __bool__(self) -> bool:
+        return False
+
+
+BUDGET_EXCEEDED = _Budget.EXCEEDED
 
 
 def make_digraph(

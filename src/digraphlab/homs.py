@@ -16,11 +16,10 @@ as the digraph ``ProductSpec.materialize()`` builds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Union
 
 from .coloring import _greedy_clique
-from .core import Digraph, Hom, SizeLimitExceeded, validate_hom
+from .core import BUDGET_EXCEEDED, Digraph, Hom, SizeLimitExceeded, _Budget, validate_hom
 
 #: Default node-expansion limit for one search.
 DEFAULT_BUDGET = 10_000_000
@@ -28,22 +27,6 @@ DEFAULT_BUDGET = 10_000_000
 #: Maximum |V(H)|^|V(G)| that brute_force_hom will enumerate.
 BRUTE_FORCE_LIMIT = 10_000_000
 
-
-class _Budget(Enum):
-    """Outcome of a search that ran out of budget (no claim made)."""
-
-    EXCEEDED = "BUDGET_EXCEEDED"
-
-    def __repr__(self) -> str:
-        return self.value
-
-    __str__ = __repr__
-
-    def __bool__(self) -> bool:
-        return False
-
-
-BUDGET_EXCEEDED = _Budget.EXCEEDED
 
 HomResult = Union[Hom, None, _Budget]
 

@@ -879,8 +879,9 @@ def h_function(k: int, budget: int = DEFAULT_BUDGET) -> Union[HFunctionResult, _
 
     Every row's chromatic number is cross-checked by a hom decision into the
     complete graph of that order and a refusal one order below.  Returns
-    BUDGET_EXCEEDED when one of those decisions runs out of budget; a
-    decided cross-check that disagrees raises AssertionError.
+    BUDGET_EXCEEDED when a row's colouring or one of those hom decisions
+    runs out of budget; a decided cross-check that disagrees raises
+    AssertionError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -891,7 +892,9 @@ def h_function(k: int, budget: int = DEFAULT_BUDGET) -> Union[HFunctionResult, _
     best: Optional[tuple[int, OrientedPath]] = None
     for p in family.members:
         dual = tree_dual(p.as_digraph())
-        res = chromatic_number(dual)
+        res = chromatic_number(dual, budget=budget)
+        if res is BUDGET_EXCEEDED:
+            return BUDGET_EXCEEDED
         assert res.chi is not None
         up = hom_exists(dual, complete(res.chi), budget)
         down = (

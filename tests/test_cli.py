@@ -132,6 +132,12 @@ def test_h_function_budget_exhaustion_exits_two(capsys):
     assert err == ""
 
 
+def test_h_function_k3_colouring_budget_exits_two(capsys):
+    code, out, err = run(capsys, "h-function", "--k", "3", "--budget", "20000")
+    assert code == 2 and json.loads(out) == {"result": "budget_exceeded", "budget": 20000}
+    assert err == ""
+
+
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main(["chi", "--input", "x.json", "--frobnicate"])

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from digraphlab import (
+    BUDGET_EXCEEDED,
     Hom,
     arc_graph,
     check_colouring,
@@ -17,6 +18,7 @@ from digraphlab import (
     symmetrize,
     tournament,
     tree_dual,
+    validate_hom,
 )
 from digraphlab.verify import floor_sum_colouring, random_digraph
 
@@ -164,6 +166,60 @@ def test_chromatic_number_outputs_are_pinned():
         results.append([res.chi, res.colouring, res.lower_bound_cert])
     digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
     assert digest == "880d4a48728c167e7fc6537deaf01cfb86ba221b4bf4845e39ea15a27a89b1fa"
+
+
+def _threshold_graphs(count, n, seed, degree=4.7):
+    """Seeded undirected G(n, m) graphs with m = round(n * degree / 2) edges,
+    near the 3-colourability threshold where the k = 3 decision backtracks."""
+    rng = random.Random(seed)
+    m = round(n * degree / 2)
+    graphs = []
+    for _ in range(count):
+        edges = set()
+        while len(edges) < m:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        graphs.append(make_digraph(n, [a for u, v in edges for a in ((u, v), (v, u))]))
+    return graphs
+
+
+def test_threshold_colourings_are_pinned():
+    import hashlib
+    import json
+
+    results = []
+    for g in _threshold_graphs(30, 60, 20261):
+        res = chromatic_number(g)
+        results.append([res.chi, res.colouring, res.lower_bound_cert])
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == "082d5f19c65e8a7f53a7e9e8c1cc36046f51c851c07ba2dc35e88f7d0e6cbd6d"
+
+
+def test_threshold_chi_agrees_with_hom_engine():
+    """chi is the least order of a complete graph the graph maps into, by the
+    independent hom engine and a witness checked arc by arc."""
+    for g in _threshold_graphs(20, 40, 20262):
+        chi = chromatic_number(g).chi
+        w = hom_exists(g, complete(chi))
+        assert isinstance(w, Hom) and validate_hom(w, g, complete(chi))
+        assert hom_exists(g, complete(chi - 1)) is None
+
+
+def test_colouring_budget_counts_assignments_over_all_decisions():
+    # the greedy descent takes 60 assignments and the 3-colouring 75 more
+    g = _threshold_graphs(30, 60, 20261)[5]
+    full = chromatic_number(g)
+    assert full.chi == 3
+    assert chromatic_number(g, budget=59) is BUDGET_EXCEEDED
+    assert chromatic_number(g, budget=134) is BUDGET_EXCEEDED
+    assert chromatic_number(g, budget=135) == full
+    assert chromatic_number(g, budget=10**9) == full
+
+
+def test_colouring_budget_must_be_positive():
+    with pytest.raises(ValueError):
+        chromatic_number(complete(3), budget=0)
 
 
 def test_chromatic_number_never_sets_recursion_limit(monkeypatch):

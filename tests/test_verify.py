@@ -328,10 +328,18 @@ def test_h_function_budget_and_mismatch(monkeypatch):
     assert h_function(2, budget=1) is BUDGET_EXCEEDED
     # a decided cross-check that disagrees is a bug, not an indeterminate answer
     real = V.chromatic_number
-    monkeypatch.setattr(V, "chromatic_number", lambda g: replace(real(g), chi=real(g).chi + 1))
+    monkeypatch.setattr(V, "chromatic_number", lambda g, **kw: replace(real(g), chi=real(g).chi + 1))
     with pytest.raises(AssertionError, match="cross-check"):
         h_function(1)
     assert V.run_job(("h", "h-function", {"k": 1})).verdict == V.ERROR
+
+
+def test_h_function_k3_runs_out_of_colouring_budget():
+    # the 4th member's dual (256 vertices) needs far more than 20,000
+    # colour assignments; the first three finish well inside the budget
+    from digraphlab import BUDGET_EXCEEDED
+
+    assert h_function(3, budget=20_000) is BUDGET_EXCEEDED
 
 
 def test_chick_table_small():
