@@ -153,7 +153,7 @@ class Digraph:
         return (u, v) in self.arc_set
 
     def has_loop(self) -> bool:
-        return any(u == v for u, v in self.arcs)
+        return bool(self.loops)
 
     def rename(self, name: Optional[str]) -> "Digraph":
         return Digraph(self.n, self.arcs, name, self.labels)

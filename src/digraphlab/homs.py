@@ -292,12 +292,13 @@ def brute_force_hom(g: Digraph, h: Digraph, limit: int = BRUTE_FORCE_LIMIT) -> O
     Enumerates the maps in lexicographic order, placing the source vertices in
     index order and trying target vertices in ascending order, and cuts off
     every prefix that already maps an arc between placed vertices onto a
-    non-arc.  Vertex i is offered only the targets consistent with its placed
-    neighbours (``out_sets``/``in_sets`` of their images, the loop vertices
-    for a loop at i); nothing is propagated to unplaced vertices, so the
-    oracle shares no reasoning with the search engine.  The enumeration runs
-    on an explicit stack (no recursion, whatever the source size).  Raises
-    SizeLimitExceeded when the full space |V(H)|^|V(G)| exceeds ``limit``.
+    non-arc.  Vertex i is offered one int mask of targets: the AND of
+    ``h.out_masks``/``h.in_masks`` of its placed neighbours' images, and of
+    ``h.loop_mask`` for a loop at i, tried lowest bit first.  Nothing is
+    propagated to unplaced vertices, so the oracle shares no reasoning with
+    the search engine.  The enumeration runs on an explicit stack (no
+    recursion, whatever the source size).  Raises SizeLimitExceeded when the
+    full space |V(H)|^|V(G)| exceeds ``limit``.
     """
     space = h.n**g.n if g.n else 1
     if space > limit:
@@ -307,33 +308,34 @@ def brute_force_hom(g: Digraph, h: Digraph, limit: int = BRUTE_FORCE_LIMIT) -> O
         return Hom((), g.name, h.name)
     placed_in: list[list[int]] = [[] for _ in range(n)]  # u < i with arc (u, i)
     placed_out: list[list[int]] = [[] for _ in range(n)]  # v < i with arc (i, v)
-    looped = [False] * n
+    base = [(1 << h.n) - 1] * n  # h.loop_mask at a looped vertex
     for u, v in g.arcs:
         if u < v:
             placed_in[v].append(u)
         elif v < u:
             placed_out[u].append(v)
         else:
-            looped[u] = True
-    loop_targets = frozenset(x for x in range(h.n) if x in h.out_sets[x])
+            base[u] = h.loop_mask
+    out_masks, in_masks = h.out_masks, h.in_masks
     assignment = [0] * n
 
-    def candidates(i: int):
-        allowed = [h.out_sets[assignment[u]] for u in placed_in[i]]
-        allowed += [h.in_sets[assignment[v]] for v in placed_out[i]]
-        if looped[i]:
-            allowed.append(loop_targets)
-        if not allowed:
-            return iter(range(h.n))
-        return iter(sorted(frozenset.intersection(*allowed)))
+    def candidates(i: int) -> int:
+        allowed = base[i]
+        for u in placed_in[i]:
+            allowed &= out_masks[assignment[u]]
+        for v in placed_out[i]:
+            allowed &= in_masks[assignment[v]]
+        return allowed
 
     stack = [candidates(0)]
     while stack:
-        value = next(stack[-1], None)
-        if value is None:
+        untried = stack[-1]
+        if not untried:
             stack.pop()
             continue
-        assignment[len(stack) - 1] = value
+        low = untried & -untried
+        stack[-1] = untried ^ low
+        assignment[len(stack) - 1] = low.bit_length() - 1
         if len(stack) == n:
             return Hom(tuple(assignment), g.name, h.name)
         stack.append(candidates(len(stack)))

@@ -178,9 +178,12 @@ def all_digraphs(max_vertices: int, loops: bool = True) -> Iterator[Digraph]:
 
 
 def _tree_code(n: int, arcs: Sequence[tuple[int, int]]) -> tuple:
-    """Isomorphism key of an oriented tree: the least rooted code over all
-    roots.  The rooted code of x is the sorted tuple of (0, code of y) for
-    each arc x -> y and (1, code of y) for each arc y -> x, y a child of x."""
+    """Isomorphism key of an oriented tree: the least rooted code over its
+    one or two centre vertices, found by peeling leaves.  The rooted code of
+    x is the sorted tuple of (0, code of y) for each arc x -> y and (1, code
+    of y) for each arc y -> x, y a child of x.  An isomorphism maps centres
+    to centres, so this separates isomorphism classes exactly as the least
+    code over every root does."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v in arcs:
         adj[u].append((0, v))
@@ -189,7 +192,19 @@ def _tree_code(n: int, arcs: Sequence[tuple[int, int]]) -> tuple:
     def code(x: int, parent: int) -> tuple:
         return tuple(sorted((d, code(y, x)) for d, y in adj[x] if y != parent))
 
-    return min(code(r, -1) for r in range(n))
+    degree = [len(a) for a in adj]
+    leaves = [x for x in range(n) if degree[x] <= 1]
+    left = n
+    while left > 2:
+        left -= len(leaves)
+        inner = []
+        for x in leaves:
+            for _, y in adj[x]:
+                degree[y] -= 1
+                if degree[y] == 1:
+                    inner.append(y)
+        leaves = inner
+    return min(code(r, -1) for r in leaves)
 
 
 def _prufer_trees(n: int) -> Iterator[list[tuple[int, int]]]:
@@ -223,8 +238,8 @@ def oriented_trees(max_arcs: int) -> list[Digraph]:
 
     Labelled trees are enumerated by arc count, Pruefer sequence and
     orientation mask, and the first of each isomorphism class is kept.  The
-    class key is a rooted code (``_tree_code``): the least, over all roots,
-    of the sorted tuple of (arc direction, child code) pairs.
+    class key is a rooted code (``_tree_code``): the least, over the tree's
+    centre vertices, of the sorted tuple of (arc direction, child code) pairs.
     """
     seen = set()
     out = []
@@ -408,25 +423,30 @@ def _finobs_lift(p: OrientedPath, phi: Hom, g: Digraph, k: int) -> bool:
     return validate_hom(lift, path(p.n_arcs), istar)
 
 
-@verifier("finobs")
-def verify_finobs(g: Digraph, n: int, k: int, budget: int = DEFAULT_BUDGET) -> Outcome:
-    """No-hom into the adjoint of the n-tournament iff some path with < k
-    reversals maps into g; a found path is lifted back as a sanity check."""
+def _finobs_paths(n: int, k: int) -> list[tuple[OrientedPath, Digraph]]:
+    """The paths with < k reversals of the n-arc path, each with its digraph."""
+    return [(p, p.as_digraph()) for p in path_family(n, k - 1).members]
+
+
+def _finobs_check(
+    g: Digraph, n: int, k: int, target: Digraph, paths: Sequence[tuple[OrientedPath, Digraph]], budget: int
+) -> Outcome:
+    """The finobs check of g against the adjoint ``target`` of the
+    n-tournament and the ``paths`` of ``_finobs_paths(n, k)``; a sweep
+    builds both once and hands them to every source."""
     params = {"graph": to_json_dict(g), "n": n, "k": k}
-    target = interleaved_adjoint(tournament(n), k)
     r = hom_exists(g, target, budget)
     if r is BUDGET_EXCEEDED:
         return params, INDETERMINATE, {"budget": budget}
     no_hom_to_adjoint = r is None
 
-    family = path_family(n, k - 1)
     found = None
-    for idx, p in enumerate(family.members):
-        w = hom_exists(p.as_digraph(), g, budget)
+    for p, pd in paths:
+        w = hom_exists(pd, g, budget)
         if w is BUDGET_EXCEEDED:
             return params, INDETERMINATE, {"budget": budget}
         if w is not None:
-            found = (idx, p, w)
+            found = (p, w)
             break
     some_path_maps = found is not None
 
@@ -436,7 +456,7 @@ def verify_finobs(g: Digraph, n: int, k: int, budget: int = DEFAULT_BUDGET) -> O
     }
     ok = no_hom_to_adjoint == some_path_maps
     if found is not None:
-        idx, p, w = found
+        p, w = found
         witnesses["path"] = p.dirs
         witnesses["path_hom"] = _hom_json(w)
         witnesses["lift_valid"] = _finobs_lift(p, w, g, k)
@@ -446,11 +466,26 @@ def verify_finobs(g: Digraph, n: int, k: int, budget: int = DEFAULT_BUDGET) -> O
     return params, PASS if ok else FAIL, witnesses
 
 
+@verifier("finobs")
+def verify_finobs(g: Digraph, n: int, k: int, budget: int = DEFAULT_BUDGET) -> Outcome:
+    """No-hom into the adjoint of the n-tournament iff some path with < k
+    reversals maps into g; a found path is lifted back as a sanity check."""
+    return _finobs_check(g, n, k, interleaved_adjoint(tournament(n), k), _finobs_paths(n, k), budget)
+
+
 @verifier("finobs-exhaustive")
 def verify_finobs_exhaustive(
     n: int, k: int, max_vertices: int = 3, budget: int = DEFAULT_BUDGET
 ) -> Outcome:
-    reports = (verify_finobs(g, n, k, budget) for g in all_digraphs(max_vertices, loops=True))
+    """The finobs check on every digraph with at most max_vertices vertices;
+    the target and the path digraphs are built once and shared by every
+    source's searches."""
+    target = interleaved_adjoint(tournament(n), k)
+    paths = _finobs_paths(n, k)
+    reports = (
+        VerifyReport("finobs", *_finobs_check(g, n, k, target, paths, budget))
+        for g in all_digraphs(max_vertices, loops=True)
+    )
     return {"n": n, "k": k, "max_vertices": max_vertices}, *_sweep(reports)
 
 

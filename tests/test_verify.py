@@ -181,6 +181,30 @@ def test_oriented_trees_match_the_permutation_keyed_enumeration(max_arcs):
     assert [(t.n, t.arcs) for t in V.oriented_trees(max_arcs)] == expected
 
 
+def _all_roots_tree_code(n, arcs):
+    """Reference tree key: the least rooted code over every root."""
+    adj = [[] for _ in range(n)]
+    for u, v in arcs:
+        adj[u].append((0, v))
+        adj[v].append((1, u))
+
+    def code(x, parent):
+        return tuple(sorted((d, code(y, x)) for d, y in adj[x] if y != parent))
+
+    return min(code(r, -1) for r in range(n))
+
+
+def test_oriented_trees_match_the_all_roots_keyed_enumeration_at_five_arcs():
+    seen, expected = set(), []
+    for t in _labelled_oriented_trees(5):
+        key = _all_roots_tree_code(t.n, t.arcs)
+        if key not in seen:
+            seen.add(key)
+            expected.append((t.n, t.arcs))
+    assert len(expected) == 131
+    assert [(t.n, t.arcs) for t in V.oriented_trees(5)] == expected
+
+
 def test_tree_code_splits_labelled_trees_like_the_permutation_form():
     codes, canons = {}, {}
     count = 0
@@ -347,6 +371,17 @@ def test_chick_table_small():
     assert rep.passed
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_finobs_check_on_a_shared_target_matches_standalone_finobs(n):
+    k = 2
+    target = interleaved_adjoint(tournament(n), k)
+    paths = V._finobs_paths(n, k)
+    for g in V.all_digraphs(2, loops=True):
+        rep = V.verify_finobs(g, n, k)
+        shared = V._finobs_check(g, n, k, target, paths, V.DEFAULT_BUDGET)
+        assert shared == (rep.params, rep.verdict, rep.witnesses)
+
+
 def test_chi3k_k1():
     rep = V.verify_chi3k(1)
     assert rep.passed and rep.witnesses["chi"] == 3
@@ -452,21 +487,19 @@ def test_exhausted_budget_is_indeterminate(verifier, kwargs):
 
 
 def test_failure_before_an_indeterminate_subcheck_is_kept(monkeypatch):
-    from dataclasses import replace
-
-    real = V.verify_finobs
+    real = V._finobs_check
     calls = []
 
     def flaky(*args, **kwargs):
         calls.append(1)
-        rep = real(*args, **kwargs)
+        params, verdict, witnesses = real(*args, **kwargs)
         if len(calls) == 2:
-            return replace(rep, verdict=V.FAIL)
+            return params, V.FAIL, witnesses
         if len(calls) == 5:
-            return replace(rep, verdict=V.INDETERMINATE, witnesses={"budget": 1})
-        return rep
+            return params, V.INDETERMINATE, {"budget": 1}
+        return params, verdict, witnesses
 
-    monkeypatch.setattr(V, "verify_finobs", flaky)
+    monkeypatch.setattr(V, "_finobs_check", flaky)
     rep = V.verify_finobs_exhaustive(3, 2, max_vertices=2)
     assert rep.verdict == V.FAIL
     assert rep.witnesses["checked"] == 4 and rep.witnesses["stopped_by"] == {"budget": 1}
