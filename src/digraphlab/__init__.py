@@ -33,11 +33,11 @@ from .homs import (
     BUDGET_EXCEEDED,
     DEFAULT_BUDGET,
     EquivalenceResult,
-    HomProblem,
     arc_consistency,
     brute_force_hom,
     hom_equivalent,
     hom_exists,
+    tree_hom,
 )
 from .coloring import ColouringResult, check_colouring, chi_bounds_arc_graph, chromatic_number
 from .level_search import LevelWalk, find_level_walk

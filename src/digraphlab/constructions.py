@@ -134,25 +134,9 @@ def inverse_interleaved_adjoint(g: Digraph, k: int) -> Digraph:
 
 
 def is_oriented_tree(g: Digraph) -> bool:
-    """Connected, |A| = |V|-1, and no 2-cycles (underlying graph is a tree)."""
-    if g.n == 0 or len(g.arcs) != g.n - 1:
-        return False
-    edges = {frozenset((u, v)) for u, v in g.arcs}
-    if len(edges) != len(g.arcs) or any(len(e) == 1 for e in edges):
-        return False
-    seen = {0}
-    stack = [0]
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.arcs:
-        adj[u].append(v)
-        adj[v].append(u)
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == g.n
+    """Connected, |A| = |V|-1, and no loops or 2-cycles (underlying graph is
+    a tree); the BFS order ``g.tree_order`` exists exactly then."""
+    return g.tree_order is not None
 
 
 def tree_dual(t: Digraph, limit: int = DEFAULT_VERTEX_LIMIT) -> Digraph:

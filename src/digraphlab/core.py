@@ -143,6 +143,32 @@ class Digraph:
         return tuple(rank)
 
     @cached_property
+    def tree_order(self) -> Optional[tuple[tuple[int, int, bool], ...]]:
+        """For an oriented tree, its non-root vertices in BFS order from
+        ``degree_order[0]``, each as (child, parent, True iff the arc runs
+        parent -> child); None for any other digraph.
+
+        |A| = |V| - 1 and connected: so the underlying multigraph is a
+        tree, which rules out loops and 2-cycles too.
+        """
+        if self.n == 0 or len(self.arcs) != self.n - 1:
+            return None
+        succ, pred = self.out_neighbours, self.in_neighbours
+        root = self.degree_order[0]
+        seen = [False] * self.n
+        seen[root] = True
+        order: list[tuple[int, int, bool]] = []
+        frontier = [root]
+        for p in frontier:
+            for fwd, nbrs in ((True, succ[p]), (False, pred[p])):
+                for c in nbrs:
+                    if not seen[c]:
+                        seen[c] = True
+                        order.append((c, p, fwd))
+                        frontier.append(c)
+        return tuple(order) if len(order) == self.n - 1 else None
+
+    @cached_property
     def supports(self) -> dict[int, tuple[int, int]]:
         """Memo of the hom engine, filled as searches into this digraph run:
         vertex mask D -> (union of ``out_masks``, union of ``in_masks``)

@@ -11,6 +11,12 @@ of frames, so no source is too large for the Python recursion limit.  For
 targets whose obstruction sets are trees, arc consistency alone decides; the
 search then never actually backtracks.  A categorical product is searched
 as the digraph ``ProductSpec.materialize()`` builds.
+
+An oriented-tree source needs no search at all: ``tree_hom`` runs
+directional arc consistency in two passes over the tree's cached BFS order,
+leaves to root and back, on the same domains and support memo.
+``hom_exists`` keeps MAC for every source, so its witnesses do not depend on
+whether the source is a tree.
 """
 
 from __future__ import annotations
@@ -31,31 +37,54 @@ BRUTE_FORCE_LIMIT = 10_000_000
 HomResult = Union[Hom, None, _Budget]
 
 
-@dataclass
-class HomProblem:
-    """A hom-search instance: ``domains[u]`` is the set of target vertices
-    u may still map to (all of them by default)."""
-
-    source: Digraph
-    target: Digraph
-    domains: Optional[list[set[int]]] = None
-
-    def __post_init__(self):
-        if self.domains is None:
-            self.domains = [set(range(self.target.n)) for _ in range(self.source.n)]
-
-
-def arc_consistency(problem: HomProblem) -> Optional[HomProblem]:
-    """Largest domain-filtering fixpoint; None means provably no hom.
+def arc_consistency(g: Digraph, h: Digraph) -> Optional[list[int]]:
+    """Largest domain-filtering fixpoint of g over h, as one int mask over
+    V(h) per vertex of g; None means provably no hom.
 
     A value x survives for u iff every arc at u can still be matched by some
     surviving value at the other endpoint.
     """
-    g, h = problem.source, problem.target
-    doms = [sum(1 << x for x in d) for d in problem.domains]
+    doms = [(1 << h.n) - 1] * g.n
     if not _Constraints(g, h).fixpoint(doms):
         return None
-    return HomProblem(g, h, [{x for x in range(h.n) if d >> x & 1} for d in doms])
+    return doms
+
+
+def tree_hom(t: Digraph, h: Digraph) -> Optional[Hom]:
+    """Decide a hom of the oriented tree t into h; a validated witness or None.
+
+    Directional arc consistency along ``t.tree_order``, which is
+    backtrack-free on a tree-shaped network (Freuder, JACM 1982).  Leaves to
+    root, each parent's domain keeps only the values its child's domain
+    supports along their arc; an empty domain proves there is no hom.  Root
+    to leaves, the root takes its lowest value and each child the lowest
+    value of its domain adjacent to its parent's, which the first pass
+    guarantees exists.  Raises ValueError when t is not an oriented tree.
+    """
+    order = t.tree_order
+    if order is None:
+        raise ValueError("tree_hom needs an oriented tree")
+    if h.n == 0:
+        return None
+    cons = _Constraints(t, h)
+    supports = h.supports
+    doms = [(1 << h.n) - 1] * t.n
+    for c, p, fwd in reversed(order):
+        dc = doms[c]
+        out_sup, in_sup = supports.get(dc) or cons._support(dc)
+        doms[p] &= in_sup if fwd else out_sup
+        if not doms[p]:
+            return None
+    out_masks, in_masks = h.out_masks, h.in_masks
+    root = t.degree_order[0]
+    image = [0] * t.n
+    image[root] = (doms[root] & -doms[root]).bit_length() - 1
+    for c, p, fwd in order:
+        allowed = doms[c] & (out_masks if fwd else in_masks)[image[p]]
+        image[c] = (allowed & -allowed).bit_length() - 1
+    witness = Hom(tuple(image), t.name, h.name)
+    assert validate_hom(witness, t, h)
+    return witness
 
 
 class _Constraints:

@@ -8,7 +8,6 @@ import pytest
 from digraphlab import (
     BUDGET_EXCEEDED,
     Hom,
-    HomProblem,
     arc_consistency,
     brute_force_hom,
     circular_complete,
@@ -20,6 +19,7 @@ from digraphlab import (
     symmetrize,
     tournament,
     tree_dual,
+    tree_hom,
     validate_hom,
 )
 from digraphlab.constructions import b_graph
@@ -29,28 +29,25 @@ from digraphlab.verify import random_digraph
 
 def test_arc_consistency_wipes_middle_vertex():
     # the 2-arc forward path cannot map to the single arc
-    problem = HomProblem(path(2), tournament(2))
-    assert arc_consistency(problem) is None
+    assert arc_consistency(path(2), tournament(2)) is None
 
 
 def test_arc_consistency_no_arcs_keeps_domains():
     g = make_digraph(3, [])
-    problem = HomProblem(g, tournament(3))
-    reduced = arc_consistency(problem)
+    reduced = arc_consistency(g, tournament(3))
     assert reduced is not None
-    assert reduced.domains == [set(range(3))] * 3
+    assert reduced == [0b111] * 3
 
 
 def test_arc_consistency_p4_t3():
-    assert arc_consistency(HomProblem(path(4), tournament(3))) is None
+    assert arc_consistency(path(4), tournament(3)) is None
 
 
 def test_arc_consistency_reduces_but_keeps_solution():
-    problem = HomProblem(path(3), tournament(4))
-    reduced = arc_consistency(problem)
+    reduced = arc_consistency(path(3), tournament(4))
     assert reduced is not None
     # every domain value must still be part of some hom: the only hom is i -> i
-    assert reduced.domains == [{0}, {1}, {2}, {3}]
+    assert reduced == [1, 2, 4, 8]
 
 
 def test_hom_identity_colouring_tournament():
@@ -211,7 +208,7 @@ def test_warm_caches_change_no_answer():
     for i, g in enumerate(sources):
         for j, h in enumerate(targets):
             if (i + j) % 3 == 0:
-                ac = arc_consistency(HomProblem(g, h))
+                ac = arc_consistency(g, h)
                 if ac is None:
                     assert brute_force_hom(g, h) is None
             w = hom_exists(g, h)
@@ -247,7 +244,7 @@ def test_width1_targets_decided_by_arc_consistency_alone():
     for _ in range(40):
         g = random_digraph(rng, rng.randint(1, 4), rng.uniform(0.2, 0.7))
         for target in targets:
-            ac = arc_consistency(HomProblem(g, target)) is not None
+            ac = arc_consistency(g, target) is not None
             truth = hom_exists(g, target) is not None
             assert ac == truth
 
@@ -335,3 +332,69 @@ def test_deep_tree_needs_no_recursion():
     w = hom_exists(g, c5)
     assert isinstance(w, Hom) and validate_hom(w, g, c5)
     assert sys.getrecursionlimit() == limit
+
+
+def _random_oriented_tree(rng, n):
+    """Vertex i hangs off a uniform earlier vertex or, in three trees out
+    of ten, off i - 1 (a deep path); each arc gets a random direction, and
+    the vertex ids are shuffled."""
+    deep = rng.random() < 0.3
+    perm = list(range(n))
+    rng.shuffle(perm)
+    arcs = []
+    for i in range(1, n):
+        j = i - 1 if deep else rng.randrange(i)
+        arcs.append((perm[i], perm[j]) if rng.random() < 0.5 else (perm[j], perm[i]))
+    return make_digraph(n, arcs)
+
+
+def _tree_targets(rng):
+    return [
+        random_digraph(rng, rng.randint(1, 5), rng.uniform(0.1, 0.7), loop_p=rng.choice([0.0, 0.1]))
+        for _ in range(6)
+    ] + [make_digraph(0, []), complete(1), complete(2), complete(3), circular_complete(5, 2)]
+
+
+def _check_tree_hom(t, h, expected_exists):
+    w = tree_hom(t, h)
+    assert (w is not None) == expected_exists, (t.arcs, h.arcs)
+    if w is not None:
+        assert isinstance(w, Hom) and validate_hom(w, t, h)
+
+
+def test_tree_hom_matches_the_oracle_on_small_trees():
+    rng = random.Random(53)
+    for _ in range(120):
+        t = _random_oriented_tree(rng, rng.randint(1, 8))
+        for h in _tree_targets(rng):
+            _check_tree_hom(t, h, brute_force_hom(t, h) is not None)
+
+
+def test_tree_hom_matches_the_search_on_large_trees():
+    limit = sys.getrecursionlimit()
+    rng = random.Random(59)
+    for _ in range(25):
+        t = _random_oriented_tree(rng, rng.randint(9, 300))
+        for h in _tree_targets(rng):
+            _check_tree_hom(t, h, hom_exists(t, h) is not None)
+    assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        make_digraph(0, []),
+        make_digraph(1, [(0, 0)]),
+        make_digraph(2, [(0, 1), (1, 0)]),
+        make_digraph(3, [(0, 1), (1, 0)]),
+        make_digraph(4, [(0, 1), (2, 3)]),
+        make_digraph(4, [(0, 1), (1, 2), (2, 0)]),
+        make_digraph(3, [(0, 1), (1, 2), (2, 0)]),
+        make_digraph(2, [(1, 1)]),
+    ],
+    ids=["empty", "loop", "2-cycle", "2-cycle-and-isolated", "disconnected", "cycle-and-isolated",
+         "cycle", "loop-and-isolated"],
+)
+def test_tree_hom_refuses_non_trees(g):
+    with pytest.raises(ValueError):
+        tree_hom(g, complete(3))
