@@ -78,13 +78,19 @@ class Digraph:
 
     @cached_property
     def out_masks(self) -> tuple[int, ...]:
-        """``out_sets`` as int bitmasks: bit v of ``out_masks[u]`` is arc (u, v)."""
-        return tuple(sum(1 << v for v in s) for s in self.out_sets)
+        """Bit v of ``out_masks[u]`` is arc (u, v), loops included."""
+        masks = [0] * self.n
+        for u, v in self.arcs:
+            masks[u] |= 1 << v
+        return tuple(masks)
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
-        """``in_sets`` as int bitmasks: bit u of ``in_masks[v]`` is arc (u, v)."""
-        return tuple(sum(1 << u for u in s) for s in self.in_sets)
+        """Bit u of ``in_masks[v]`` is arc (u, v), loops included."""
+        masks = [0] * self.n
+        for u, v in self.arcs:
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
@@ -266,13 +272,22 @@ class Hom:
 
 
 def validate_hom(h: Hom, g: Digraph, h_graph: Digraph) -> bool:
-    """True iff every arc of ``g`` maps to an arc of ``h_graph``."""
-    if len(h.map) != g.n:
-        raise ValueError(f"map length {len(h.map)} != |V| = {g.n}")
-    if any(not (0 <= x < h_graph.n) for x in h.map):
-        return False
+    """True iff every image is a vertex of ``h_graph`` and every arc of ``g``
+    maps to an arc in ``h_graph.arc_set``; a map whose length is not |V(g)|
+    is a ValueError.  The check reads the target's arc set, never the masks
+    the hom engine searches with."""
+    image = h.map
+    if len(image) != g.n:
+        raise ValueError(f"map length {len(image)} != |V| = {g.n}")
+    n = h_graph.n
+    for x in image:
+        if not 0 <= x < n:
+            return False
     target = h_graph.arc_set
-    return all((h.map[u], h.map[v]) in target for u, v in g.arcs)
+    for u, v in g.arcs:
+        if (image[u], image[v]) not in target:
+            return False
+    return True
 
 
 # --- serialization -----------------------------------------------------------

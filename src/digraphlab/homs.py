@@ -83,7 +83,8 @@ def tree_hom(t: Digraph, h: Digraph) -> Optional[Hom]:
         allowed = doms[c] & (out_masks if fwd else in_masks)[image[p]]
         image[c] = (allowed & -allowed).bit_length() - 1
     witness = Hom(tuple(image), t.name, h.name)
-    assert validate_hom(witness, t, h)
+    if not validate_hom(witness, t, h):
+        raise AssertionError(f"tree_hom built an invalid witness {witness.map}")
     return witness
 
 
@@ -106,10 +107,16 @@ class _Constraints:
 
     def fixpoint(self, doms: list[int]) -> bool:
         """Filter doms in place to the largest arc-consistent domains;
-        False when one of them is empty."""
+        False when one of them is empty.
+
+        A source loop keeps only the target's looped vertices; a domain that
+        this filter empties is reported at once, before AC-3 starts.
+        """
         loop_mask = self.h.loop_mask
         for u in self.g.loops:
             doms[u] &= loop_mask
+            if not doms[u]:
+                return False
         return self.propagate(doms, set(range(self.g.n)), []) and all(doms)
 
     def _support(self, d: int) -> tuple[int, int]:
@@ -287,7 +294,8 @@ def hom_exists(g: Digraph, h: Digraph, budget: int = DEFAULT_BUDGET) -> HomResul
     if assignment is None or assignment is BUDGET_EXCEEDED:
         return assignment
     witness = Hom(assignment, g.name, h.name)
-    assert validate_hom(witness, g, h)
+    if not validate_hom(witness, g, h):
+        raise AssertionError(f"hom_exists built an invalid witness {witness.map}")
     return witness
 
 

@@ -177,17 +177,19 @@ def all_digraphs(max_vertices: int, loops: bool = True) -> Iterator[Digraph]:
             yield make_digraph(n, arcs)
 
 
-def _tree_code(n: int, arcs: Sequence[tuple[int, int]]) -> tuple:
+def _tree_code(n: int, arcs: Sequence[tuple[int, int]], directed: bool = True) -> tuple:
     """Isomorphism key of an oriented tree: the least rooted code over its
     one or two centre vertices, found by peeling leaves.  The rooted code of
     x is the sorted tuple of (0, code of y) for each arc x -> y and (1, code
     of y) for each arc y -> x, y a child of x.  An isomorphism maps centres
     to centres, so this separates isomorphism classes exactly as the least
-    code over every root does."""
+    code over every root does.  With ``directed`` False both directions are
+    tagged 0, so the code keys the underlying undirected tree."""
+    back = 1 if directed else 0
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v in arcs:
         adj[u].append((0, v))
-        adj[v].append((1, u))
+        adj[v].append((back, u))
 
     def code(x: int, parent: int) -> tuple:
         return tuple(sorted((d, code(y, x)) for d, y in adj[x] if y != parent))
@@ -240,11 +242,22 @@ def oriented_trees(max_arcs: int) -> list[Digraph]:
     orientation mask, and the first of each isomorphism class is kept.  The
     class key is a rooted code (``_tree_code``): the least, over the tree's
     centre vertices, of the sorted tuple of (arc direction, child code) pairs.
+
+    Only the first labelled tree of each undirected shape (keyed by the
+    same code with directions ignored) has its 2^m orientations tried.
+    Every orientation of a later tree of that shape is isomorphic to one of
+    those, which all come first, so it would add nothing: the list is the
+    one the full enumeration keeps, in the same order.
     """
     seen = set()
+    shapes = set()
     out = []
     for m in range(max_arcs + 1):
         for edges in _prufer_trees(m + 1):
+            shape = _tree_code(m + 1, edges, directed=False)
+            if shape in shapes:
+                continue
+            shapes.add(shape)
             for mask in range(1 << m):
                 arcs = [
                     (u, v) if not mask >> i & 1 else (v, u)
@@ -822,7 +835,8 @@ def find_steep_path(ell: int) -> SteepPathResult:
     homs = []
     for j, member in enumerate(family.members):
         h = Hom(tuple(((v >> (j * w)) & field_mask).bit_length() - 1 for v in walk))
-        assert validate_hom(h, qd, member.as_digraph())
+        if not validate_hom(h, qd, member.as_digraph()):
+            raise AssertionError(f"steep-path factor hom {h.map} into member {j} is invalid")
         homs.append(h)
     return SteepPathResult(ell, q, tuple(family.members), tuple(homs))
 

@@ -104,6 +104,24 @@ def test_validate_hom_length_mismatch_raises():
         validate_hom(Hom((0,)), path(1), path(1))
 
 
+def test_validate_hom_range_checks_images_of_arcless_vertices():
+    g, h = make_digraph(2, []), make_digraph(2, [(0, 1)])
+    assert validate_hom(Hom((1, 0)), g, h)
+    assert not validate_hom(Hom((0, 2)), g, h)
+    assert not validate_hom(Hom((-1, 0)), g, h)
+
+
+def test_validate_hom_source_loop_needs_looped_image():
+    loop, h = make_digraph(1, [(0, 0)]), make_digraph(2, [(0, 1), (1, 1)])
+    assert not validate_hom(Hom((0,)), loop, h)
+    assert validate_hom(Hom((1,)), loop, h)
+
+
+def test_validate_hom_empty_source_into_empty_target():
+    empty = make_digraph(0, [])
+    assert validate_hom(Hom(()), empty, empty)
+
+
 def test_is_symmetric_t2():
     assert not is_symmetric(tournament(2))
 

@@ -1,7 +1,10 @@
 import itertools
+import os
 import pickle
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +25,10 @@ from digraphlab import (
     tree_hom,
     validate_hom,
 )
+from digraphlab import homs, verify
 from digraphlab.constructions import b_graph
 from digraphlab.core import SizeLimitExceeded
-from digraphlab.verify import random_digraph
+from digraphlab.verify import all_digraphs, random_digraph
 
 
 def test_arc_consistency_wipes_middle_vertex():
@@ -137,6 +141,85 @@ def test_loop_source_needs_loop_target():
     w = hom_exists(loop, make_digraph(2, [(0, 0), (0, 1)]))
     assert isinstance(w, Hom) and w.map == (0,)
     assert brute_force_hom(loop, complete(3)) is None
+
+
+def test_source_loop_into_loopless_target_wipes_out_before_the_search():
+    g = make_digraph(3, [(0, 0), (0, 1), (1, 2)])
+    assert hom_exists(g, complete(3), budget=1) is None
+    assert arc_consistency(g, complete(3)) is None
+
+
+def test_source_loop_maps_onto_the_one_looped_target_vertex():
+    g = make_digraph(3, [(0, 1), (1, 1), (1, 2)])
+    h = make_digraph(3, [(0, 1), (1, 2), (2, 0), (2, 2)])
+    w = hom_exists(g, h)
+    assert isinstance(w, Hom) and validate_hom(w, g, h) and w.map[1] == 2
+
+
+def test_every_small_source_agrees_with_the_oracle():
+    targets = [
+        make_digraph(0, []),
+        complete(2),
+        tournament(3),
+        circular_complete(5, 2),
+        make_digraph(1, [(0, 0)]),
+        make_digraph(3, [(0, 1), (1, 2), (2, 0), (2, 2)]),
+        make_digraph(3, [(0, 0), (0, 1), (1, 2), (2, 1)]),
+    ]
+    sources = list(all_digraphs(3, loops=True))
+    assert len(sources) == 531
+    for g in sources:
+        for h in targets:
+            expected = brute_force_hom(g, h) is not None
+            w = hom_exists(g, h)
+            assert (w is not None) == expected, (g.arcs, h.arcs)
+            assert w is None or validate_hom(w, g, h)
+            if g.tree_order is not None:
+                w = tree_hom(g, h)
+                assert (w is not None) == expected, (g.arcs, h.arcs)
+                assert w is None or validate_hom(w, g, h)
+
+
+WITNESS_RECHECKS = {
+    "hom_exists": lambda: homs.hom_exists(path(2), tournament(3)),
+    "tree_hom": lambda: homs.tree_hom(path(2), tournament(3)),
+    "find_steep_path": lambda: verify.find_steep_path(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_RECHECKS))
+def test_an_invalid_witness_raises(monkeypatch, name):
+    monkeypatch.setattr(homs, "validate_hom", lambda *args: False)
+    monkeypatch.setattr(verify, "validate_hom", lambda *args: False)
+    with pytest.raises(AssertionError):
+        WITNESS_RECHECKS[name]()
+
+
+_RECHECKS_UNDER_O = """
+from digraphlab import homs, path, tournament, verify
+if __debug__:
+    raise SystemExit("not running under -O")
+homs.validate_hom = verify.validate_hom = lambda *args: False
+for call in (
+    lambda: homs.hom_exists(path(2), tournament(3)),
+    lambda: homs.tree_hom(path(2), tournament(3)),
+    lambda: verify.find_steep_path(3),
+):
+    try:
+        call()
+    except AssertionError:
+        continue
+    raise SystemExit("an invalid witness was returned")
+"""
+
+
+def test_invalid_witnesses_raise_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(homs.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _RECHECKS_UNDER_O],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_hom_equivalent_reflexive():

@@ -158,11 +158,13 @@ def _labelled_oriented_trees(max_arcs):
 
 
 def test_oriented_tree_enumeration_counts():
-    # hand-counted: trivial, 1 arc, then 3 two-arc paths, 4+4 three-arc shapes
-    assert len(V.oriented_trees(0)) == 1
-    assert len(V.oriented_trees(1)) == 2
-    assert len(V.oriented_trees(2)) == 5
-    assert len(V.oriented_trees(3)) == 13
+    # hand-counted: trivial, 1 arc, then 3 two-arc paths, 4+4 three-arc shapes;
+    # in all, partial sums of OEIS A000238 (oriented trees on n vertices:
+    # 1, 1, 3, 8, 27, 91, 350)
+    counts = [len(V.oriented_trees(m)) for m in range(7)]
+    assert counts == [1, 2, 5, 13, 40, 131, 481]
+    six = V.oriented_trees(6)
+    assert len({V._tree_code(t.n, t.arcs) for t in six}) == 481
     from digraphlab import is_oriented_tree
 
     trees = V.oriented_trees(4)
