@@ -16,6 +16,8 @@ def tournament(n: int) -> Digraph:
     """Transitive tournament: arcs (i, j) for i < j."""
     if n < 0:
         raise ConstructionError("tournament order must be >= 0")
+    if n > DEFAULT_VERTEX_LIMIT:
+        raise SizeLimitExceeded("tournament", n, DEFAULT_VERTEX_LIMIT)
     arcs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return make_digraph(n, arcs, name=f"T_{n}")
 
@@ -24,13 +26,15 @@ def path(n: int) -> Digraph:
     """All-forward path with n arcs on vertices 0..n."""
     if n < 0:
         raise ConstructionError("path length must be >= 0")
-    return make_digraph(n + 1, [(i, i + 1) for i in range(n)], name=f"P_{n}")
+    return make_digraph(n + 1, ((i, i + 1) for i in range(n)), name=f"P_{n}")
 
 
 def complete(n: int) -> Digraph:
     """Complete symmetric loopless digraph."""
     if n < 0:
         raise ConstructionError("complete graph order must be >= 0")
+    if n > DEFAULT_VERTEX_LIMIT:
+        raise SizeLimitExceeded("complete", n, DEFAULT_VERTEX_LIMIT)
     arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
     return make_digraph(n, arcs, name=f"K_{n}")
 
@@ -40,6 +44,8 @@ def arc_graph(g: Digraph) -> Digraph:
 
     Vertices with no composable partner are kept as isolated vertices.
     """
+    if len(g.arcs) > DEFAULT_VERTEX_LIMIT:
+        raise SizeLimitExceeded("arc_graph", len(g.arcs), DEFAULT_VERTEX_LIMIT)
     verts = list(g.arcs)
     index = {a: i for i, a in enumerate(verts)}
     arcs = []
@@ -63,9 +69,9 @@ def arc_graph_iter(g: Digraph, k: int, limit: int = DEFAULT_VERTEX_LIMIT) -> Dig
     current = g
     chains: list[tuple[int, ...]] = [(v,) for v in range(g.n)]
     for _ in range(k):
+        if len(current.arcs) > limit:
+            raise SizeLimitExceeded("arc_graph_iter", len(current.arcs), limit)
         nxt = arc_graph(current)
-        if nxt.n > limit:
-            raise SizeLimitExceeded("arc_graph_iter", nxt.n, limit)
         # a vertex of nxt is an arc (a, b) of current; its walk extends a's
         # walk by the last vertex of b's walk
         chains = [chains[a] + (chains[b][-1],) for a, b in nxt.labels]
@@ -118,6 +124,8 @@ def inverse_interleaved_adjoint(g: Digraph, k: int) -> Digraph:
     arcs (u_i, v_i) for all i plus (v_i, u_{i+1}) for i < k."""
     if k < 1:
         raise ConstructionError("copy count k must be >= 1")
+    if g.n * k > DEFAULT_VERTEX_LIMIT:
+        raise SizeLimitExceeded("inverse_interleaved_adjoint", g.n * k, DEFAULT_VERTEX_LIMIT)
     labels = [(u, i) for u in range(g.n) for i in range(1, k + 1)]
 
     def vid(u, i):
@@ -187,6 +195,8 @@ def circular_complete(n: int, k: int) -> Digraph:
     (i-j) mod n lies in [k, n-k]."""
     if not (n >= 2 * k >= 2):
         raise ConstructionError(f"need n >= 2k >= 2, got n={n} k={k}")
+    if n > DEFAULT_VERTEX_LIMIT:
+        raise SizeLimitExceeded("circular_complete", n, DEFAULT_VERTEX_LIMIT)
     arcs = []
     for i in range(n):
         for j in range(n):

@@ -217,10 +217,14 @@ def make_digraph(
     """Build a digraph, deduplicating and sorting the arc list.
 
     Loops (u, u) are allowed; endpoints outside 0..n-1 are a construction
-    error.
+    error.  More than DEFAULT_VERTEX_LIMIT vertices is SizeLimitExceeded,
+    raised before ``arcs`` is read, so a builder that passes a generator
+    builds no arc of a digraph it is refused.
     """
     if n < 0:
         raise ConstructionError(f"vertex count must be >= 0, got {n}")
+    if n > DEFAULT_VERTEX_LIMIT:
+        raise SizeLimitExceeded("make_digraph", n, DEFAULT_VERTEX_LIMIT)
     seen = set()
     for u, v in arcs:
         if not (0 <= u < n and 0 <= v < n):

@@ -13,7 +13,6 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from functools import wraps
-from itertools import product as iter_product
 from math import ceil
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -168,28 +167,26 @@ def random_digraph(rng: random.Random, n: int, p: float, loop_p: float = 0.0) ->
     return make_digraph(n, arcs, name=f"random({n})")
 
 
-def all_digraphs(max_vertices: int, loops: bool = True) -> Iterator[Digraph]:
-    """Every digraph with at most max_vertices vertices, by arc-set rank."""
+def all_digraphs(max_vertices: int) -> Iterator[Digraph]:
+    """Every digraph with at most max_vertices vertices, loops allowed, by arc-set rank."""
     for n in range(max_vertices + 1):
-        pairs = [(u, v) for u in range(n) for v in range(n) if loops or u != v]
+        pairs = [(u, v) for u in range(n) for v in range(n)]
         for mask in range(1 << len(pairs)):
             arcs = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
             yield make_digraph(n, arcs)
 
 
-def _tree_code(n: int, arcs: Sequence[tuple[int, int]], directed: bool = True) -> tuple:
+def _tree_code(n: int, arcs: Sequence[tuple[int, int]]) -> tuple:
     """Isomorphism key of an oriented tree: the least rooted code over its
     one or two centre vertices, found by peeling leaves.  The rooted code of
     x is the sorted tuple of (0, code of y) for each arc x -> y and (1, code
     of y) for each arc y -> x, y a child of x.  An isomorphism maps centres
     to centres, so this separates isomorphism classes exactly as the least
-    code over every root does.  With ``directed`` False both directions are
-    tagged 0, so the code keys the underlying undirected tree."""
-    back = 1 if directed else 0
+    code over every root does."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v in arcs:
         adj[u].append((0, v))
-        adj[v].append((back, u))
+        adj[v].append((1, u))
 
     def code(x: int, parent: int) -> tuple:
         return tuple(sorted((d, code(y, x)) for d, y in adj[x] if y != parent))
@@ -209,64 +206,28 @@ def _tree_code(n: int, arcs: Sequence[tuple[int, int]], directed: bool = True) -
     return min(code(r, -1) for r in leaves)
 
 
-def _prufer_trees(n: int) -> Iterator[list[tuple[int, int]]]:
-    """Edge lists of all labelled trees on n vertices."""
-    if n == 1:
-        yield []
-        return
-    if n == 2:
-        yield [(0, 1)]
-        return
-    for seq in iter_product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for x in seq:
-            degree[x] += 1
-        edges = []
-        avail = sorted(range(n))
-        seq_list = list(seq)
-        for x in seq_list:
-            leaf = next(v for v in avail if degree[v] == 1)
-            edges.append((leaf, x))
-            degree[leaf] -= 1
-            degree[x] -= 1
-            avail.remove(leaf)
-        last = [v for v in range(n) if degree[v] == 1]
-        edges.append((last[0], last[1]))
-        yield edges
-
-
 def oriented_trees(max_arcs: int) -> list[Digraph]:
-    """All oriented trees with at most max_arcs arcs, up to isomorphism.
+    """All oriented trees with at most max_arcs arcs, up to isomorphism,
+    by arc count.
 
-    Labelled trees are enumerated by arc count, Pruefer sequence and
-    orientation mask, and the first of each isomorphism class is kept.  The
-    class key is a rooted code (``_tree_code``): the least, over the tree's
-    centre vertices, of the sorted tuple of (arc direction, child code) pairs.
-
-    Only the first labelled tree of each undirected shape (keyed by the
-    same code with directions ignored) has its 2^m orientations tried.
-    Every orientation of a later tree of that shape is isomorphic to one of
-    those, which all come first, so it would add nothing: the list is the
-    one the full enumeration keeps, in the same order.
+    Removing a leaf from a tree with m arcs leaves a tree with m - 1 arcs.
+    So hanging a new vertex m off every vertex x of every kept tree with
+    m - 1 arcs, once by the arc (x, m) and once by (m, x), reaches every
+    class with m arcs; the first tree of each class under ``_tree_code`` is
+    kept.
     """
-    seen = set()
-    shapes = set()
-    out = []
+    out: list[Digraph] = []
+    level: list[list[tuple[int, int]]] = [[]]  # arc lists of the kept m-arc trees
     for m in range(max_arcs + 1):
-        for edges in _prufer_trees(m + 1):
-            shape = _tree_code(m + 1, edges, directed=False)
-            if shape in shapes:
-                continue
-            shapes.add(shape)
-            for mask in range(1 << m):
-                arcs = [
-                    (u, v) if not mask >> i & 1 else (v, u)
-                    for i, (u, v) in enumerate(edges)
-                ]
-                key = _tree_code(m + 1, arcs)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(make_digraph(m + 1, arcs))
+        if m:
+            kept: dict[tuple, list[tuple[int, int]]] = {}
+            for arcs in level:
+                for x in range(m):
+                    for arc in ((x, m), (m, x)):
+                        grown = arcs + [arc]
+                        kept.setdefault(_tree_code(m + 1, grown), grown)
+            level = list(kept.values())
+        out.extend(make_digraph(m + 1, arcs) for arcs in level)
     return out
 
 
@@ -505,7 +466,7 @@ def verify_finobs_exhaustive(
     paths = _finobs_paths(n, k)
     reports = (
         VerifyReport("finobs", *_finobs_check(g, n, k, target, paths, budget))
-        for g in all_digraphs(max_vertices, loops=True)
+        for g in all_digraphs(max_vertices)
     )
     return {"n": n, "k": k, "max_vertices": max_vertices}, *_sweep(reports)
 
@@ -540,7 +501,7 @@ def verify_duality_tree(
     decided by ``tree_hom``, which needs no budget; ``budget`` bounds the
     dual side."""
     if sources is None:
-        sources = all_digraphs(3, loops=True)
+        sources = all_digraphs(3)
     dual = tree_dual(t)
     params = {"tree": to_json_dict(t), "dual_vertices": dual.n}
     failures = []
@@ -569,7 +530,7 @@ def verify_duality_tree_exhaustive(
 ) -> Outcome:
     """Duality over every oriented tree (up to isomorphism) and every source
     digraph within the given sizes."""
-    sources = list(all_digraphs(max_source_vertices, loops=True))
+    sources = list(all_digraphs(max_source_vertices))
     trees = oriented_trees(max_tree_arcs)
     params = {
         "max_tree_arcs": max_tree_arcs,
@@ -1110,7 +1071,7 @@ def verify_width1_completeness(
         "max_source_vertices": max_source_vertices,
     }
     rng = random.Random(seed)
-    sources = list(all_digraphs(2, loops=True))
+    sources = list(all_digraphs(2))
     for _ in range(random_sources):
         n = rng.randint(3, max_source_vertices)
         sources.append(random_digraph(rng, n, rng.uniform(0.1, 0.6), loop_p=0.05))
@@ -1217,7 +1178,8 @@ def run_profile(profile: str, workers: Optional[int] = None) -> list[VerifyRepor
     if workers is None:
         import os
 
-        workers = min(len(jobs), os.cpu_count() or 1)
+        workers = os.cpu_count() or 1
+    workers = min(workers, len(jobs))
     if workers <= 1:
         return [run_job(spec) for spec in jobs]
     from concurrent.futures import ProcessPoolExecutor

@@ -26,6 +26,19 @@ def test_construct_writes_file(tmp_path, capsys):
     assert from_json(target.read_text()) == tournament(6)
 
 
+def test_construct_refuses_more_vertices_than_the_limit(tmp_path, capsys):
+    t3 = tmp_path / "t3.json"
+    t3.write_text(json.dumps({"n": 3, "arcs": [[0, 1], [0, 2], [1, 2]]}))
+    target = tmp_path / "out.json"
+    for argv in (
+        ["--family", "path", "--n", "250000"],
+        ["--family", "iota-star", "--input", str(t3), "--k", "100000"],
+    ):
+        code, _, err = run(capsys, "construct", *argv, "--out", str(target))
+        assert code == 2 and err.startswith("refused:")
+        assert not target.exists()
+
+
 def test_chi_of_adjoint_via_files(tmp_path, capsys):
     t6 = tmp_path / "t6.json"
     iota = tmp_path / "iota2_t6.json"

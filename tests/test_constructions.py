@@ -6,6 +6,7 @@ import pytest
 
 from digraphlab import (
     ConstructionError,
+    OrientedPath,
     SizeLimitExceeded,
     arc_graph,
     arc_graph_iter,
@@ -22,6 +23,8 @@ from digraphlab import (
     tournament,
     tree_dual,
 )
+from digraphlab import constructions
+from digraphlab.core import DEFAULT_VERTEX_LIMIT
 from digraphlab.verify import random_digraph
 
 from _helpers import brute_isomorphic
@@ -174,6 +177,27 @@ def test_inverse_adjoint_arc_count():
 def test_inverse_adjoint_labels():
     g = inverse_interleaved_adjoint(path(1), 2)
     assert g.labels == ((0, 1), (0, 2), (1, 1), (1, 2))
+
+
+def test_builders_refuse_more_vertices_than_the_limit():
+    assert path(DEFAULT_VERTEX_LIMIT - 1).n == DEFAULT_VERTEX_LIMIT
+    with pytest.raises(SizeLimitExceeded):
+        path(DEFAULT_VERTEX_LIMIT)
+    with pytest.raises(SizeLimitExceeded):
+        OrientedPath("+" * DEFAULT_VERTEX_LIMIT).as_digraph()
+    with pytest.raises(SizeLimitExceeded):
+        inverse_interleaved_adjoint(make_digraph(1, []), DEFAULT_VERTEX_LIMIT + 1)
+
+
+def test_quadratic_builders_refuse_before_building_arcs(monkeypatch):
+    # make_digraph keeps the real limit, so only the builders' own check,
+    # made before their arc list, can refuse 11 vertices here
+    monkeypatch.setattr(constructions, "DEFAULT_VERTEX_LIMIT", 10)
+    builders = (tournament, complete, lambda n: circular_complete(n, 2), lambda n: arc_graph(path(n)))
+    for build in builders:
+        assert build(10).n == 10
+        with pytest.raises(SizeLimitExceeded):
+            build(11)
 
 
 def test_is_oriented_tree():

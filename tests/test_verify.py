@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -14,6 +14,7 @@ from digraphlab import (
     h_function,
     hom_exists,
     interleaved_adjoint,
+    is_oriented_tree,
     make_digraph,
     path,
     path_family,
@@ -148,25 +149,30 @@ def _canonical(g):
 
 
 def _labelled_oriented_trees(max_arcs):
-    """Every labelled oriented tree, in the enumeration order of oriented_trees."""
+    """Every labelled oriented tree with at most max_arcs arcs: each m-subset
+    of the ordered pairs on m + 1 vertices that is_oriented_tree accepts."""
     for m in range(max_arcs + 1):
-        for edges in V._prufer_trees(m + 1):
-            for mask in range(1 << m):
-                yield make_digraph(m + 1, [
-                    (u, v) if not mask >> i & 1 else (v, u) for i, (u, v) in enumerate(edges)
-                ])
+        pairs = list(permutations(range(m + 1), 2))
+        for arcs in combinations(pairs, m):
+            t = make_digraph(m + 1, arcs)
+            if is_oriented_tree(t):
+                yield t
+
+
+def _assert_one_per_class(key, trees, expected_keys):
+    keys = [key(t) for t in trees]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == expected_keys
 
 
 def test_oriented_tree_enumeration_counts():
     # hand-counted: trivial, 1 arc, then 3 two-arc paths, 4+4 three-arc shapes;
     # in all, partial sums of OEIS A000238 (oriented trees on n vertices:
-    # 1, 1, 3, 8, 27, 91, 350)
-    counts = [len(V.oriented_trees(m)) for m in range(7)]
-    assert counts == [1, 2, 5, 13, 40, 131, 481]
-    six = V.oriented_trees(6)
-    assert len({V._tree_code(t.n, t.arcs) for t in six}) == 481
-    from digraphlab import is_oriented_tree
-
+    # 1, 1, 3, 8, 27, 91, 350, 1376)
+    counts = [len(V.oriented_trees(m)) for m in range(8)]
+    assert counts == [1, 2, 5, 13, 40, 131, 481, 1857]
+    seven = V.oriented_trees(7)
+    assert len({V._tree_code(t.n, t.arcs) for t in seven}) == 1857
     trees = V.oriented_trees(4)
     assert all(is_oriented_tree(t) for t in trees)
     assert len({_canonical(t) for t in trees}) == len(trees)
@@ -174,37 +180,27 @@ def test_oriented_tree_enumeration_counts():
 
 @pytest.mark.parametrize("max_arcs", range(5))
 def test_oriented_trees_match_the_permutation_keyed_enumeration(max_arcs):
-    seen, expected = set(), []
-    for t in _labelled_oriented_trees(max_arcs):
-        key = _canonical(t)
-        if key not in seen:
-            seen.add(key)
-            expected.append((t.n, t.arcs))
-    assert [(t.n, t.arcs) for t in V.oriented_trees(max_arcs)] == expected
+    expected = {_canonical(t) for t in _labelled_oriented_trees(max_arcs)}
+    _assert_one_per_class(_canonical, V.oriented_trees(max_arcs), expected)
 
 
-def _all_roots_tree_code(n, arcs):
+def _all_roots_tree_code(t):
     """Reference tree key: the least rooted code over every root."""
-    adj = [[] for _ in range(n)]
-    for u, v in arcs:
+    adj = [[] for _ in range(t.n)]
+    for u, v in t.arcs:
         adj[u].append((0, v))
         adj[v].append((1, u))
 
     def code(x, parent):
         return tuple(sorted((d, code(y, x)) for d, y in adj[x] if y != parent))
 
-    return min(code(r, -1) for r in range(n))
+    return min(code(r, -1) for r in range(t.n))
 
 
 def test_oriented_trees_match_the_all_roots_keyed_enumeration_at_five_arcs():
-    seen, expected = set(), []
-    for t in _labelled_oriented_trees(5):
-        key = _all_roots_tree_code(t.n, t.arcs)
-        if key not in seen:
-            seen.add(key)
-            expected.append((t.n, t.arcs))
+    expected = {_all_roots_tree_code(t) for t in _labelled_oriented_trees(5)}
     assert len(expected) == 131
-    assert [(t.n, t.arcs) for t in V.oriented_trees(5)] == expected
+    _assert_one_per_class(_all_roots_tree_code, V.oriented_trees(5), expected)
 
 
 def test_tree_code_splits_labelled_trees_like_the_permutation_form():
@@ -378,7 +374,7 @@ def test_finobs_check_on_a_shared_target_matches_standalone_finobs(n):
     k = 2
     target = interleaved_adjoint(tournament(n), k)
     paths = V._finobs_paths(n, k)
-    for g in V.all_digraphs(2, loops=True):
+    for g in V.all_digraphs(2):
         rep = V.verify_finobs(g, n, k)
         shared = V._finobs_check(g, n, k, target, paths, V.DEFAULT_BUDGET)
         assert shared == (rep.params, rep.verdict, rep.witnesses)
@@ -402,6 +398,29 @@ def test_run_profile_quick_inline():
     reports = V.run_profile("quick", workers=1)
     assert [r.claim for r in reports] == [job[0] for job in V.QUICK_PROFILE]
     assert all(r.verdict == V.PASS for r in reports)
+
+
+def test_run_profile_starts_no_more_workers_than_jobs(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return []
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    V.run_profile("quick", workers=10_000)
+    assert started == [len(V.PROFILES["quick"])] == [18]
 
 
 def test_run_profile_parallel_matches_inline():
