@@ -1,14 +1,13 @@
 """Exact chromatic numbers via branch and bound.
 
-The chromatic number of a digraph is that of its symmetrisation; the solver
-works on the digraph's neighbour masks.  One DSATUR search on an explicit
-stack decides k-colourability with colour-symmetry breaking; its first
-descent with n colours never backtracks and is the greedy upper bound.  A
-greedy clique gives the lower bound, and one decision runs per candidate k.
-The search picks its next vertex from saturation buckets, int bitmasks over
-the digraph's cached degree order, kept up to date as colours are set and
-undone, so no search node scans every vertex.  An optional budget caps the
-colour assignments of all decisions together.
+The chromatic number of a digraph is that of its symmetrisation.  One
+DSATUR search on an explicit stack decides k-colourability with
+colour-symmetry breaking; its first descent with n colours never backtracks
+and is the greedy upper bound.  A greedy clique gives the lower bound, and
+one decision runs per candidate k.  The search state is int bitmasks over
+the cached degree order, the saturation counts as bit planes, so a node
+costs a few whole-graph int operations and no loop over neighbours.  An
+optional budget caps the colour assignments of all decisions together.
 """
 
 from __future__ import annotations
@@ -38,27 +37,35 @@ def check_colouring(g: Digraph, colours: Sequence[int]) -> bool:
     return all(colours[u] != colours[v] for u, v in g.arcs)
 
 
-def _bits(mask: int):
-    """The indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _rank_masks(g: Digraph) -> list[int]:
+    """The neighbour masks of loopless g, vertex v at entry and bit ``g.degree_rank[v]``."""
+    rank = g.degree_rank
+    bit = [1 << r for r in rank]
+    nb = [0] * g.n
+    for u, v in g.arcs:
+        nb[rank[u]] |= bit[v]
+        nb[rank[v]] |= bit[u]
+    return nb
 
 
-def _greedy_clique(masks: Sequence[int], starts: int) -> list[int]:
-    """Best clique grown greedily from each of the ``starts`` vertices of
-    highest degree (lowest index first on ties), in growth order.
-
-    Each step adds the candidate with the most neighbours among the
-    remaining candidates, the lowest index on ties.
-    """
+def _greedy_clique(g: Digraph, starts: int) -> list[int]:
+    """Best clique grown greedily from each of the first ``starts`` vertices
+    of ``g.degree_order``, in growth order: each step adds the candidate
+    with the most neighbours among the remaining candidates, the lowest
+    index on ties."""
+    masks = g.neighbour_masks
     best: list[int] = []
-    for start in sorted(range(len(masks)), key=lambda v: -masks[v].bit_count())[:starts]:
+    for start in g.degree_order[:starts]:
         clique = [start]
         common = masks[start]
         while common:
-            u = max(_bits(common), key=lambda v: (masks[v] & common).bit_count())
+            most, rest = -1, common
+            while rest:
+                v = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                d = (masks[v] & common).bit_count()
+                if d > most:
+                    u, most = v, d
             clique.append(u)
             common &= masks[u]
         if len(clique) > len(best):
@@ -67,86 +74,82 @@ def _greedy_clique(masks: Sequence[int], starts: int) -> list[int]:
 
 
 def _decide_colourable(
-    g: Digraph, nbrs: Sequence[Sequence[int]], k: int, budget: float
+    g: Digraph, nb: Sequence[int], k: int, budget: float
 ) -> tuple[Union[list[int], None, _Budget], int]:
     """Backtracking k-colourability decision in dynamic saturation order
     (DSATUR): highest saturation first, then highest degree, then lowest
-    index; colours ascending.  ``nbrs[v]`` lists the neighbours of v.
+    index; colours ascending, at most one fresh colour per step to break
+    colour symmetry.  With k = n the first descent never backtracks and is
+    the greedy DSATUR colouring.  ``nb`` is ``_rank_masks(g)``: every mask
+    holds vertex v at bit ``g.degree_rank[v]``.
 
-    Colour symmetry is broken by allowing at most one fresh colour per step.
-    With k = n the first descent never backtracks and is the greedy DSATUR
-    colouring.  The search runs on an explicit stack; a frame is [vertex,
-    next colour to try, colours in use before it, neighbours whose
-    saturation its colour set].
-
-    The next vertex comes from saturation buckets: ``buckets[s]`` holds, as
-    one int, the uncoloured vertices with s neighbour colours, vertex v at
-    bit ``g.degree_rank[v]``.  The rank orders by descending degree, then
-    ascending index, so the lowest set bit of the highest non-empty bucket
-    is the DSATUR choice.  A vertex changes bucket only when a neighbour's
-    colour is set or undone, so a node costs work in its changed
-    neighbours, not in n.
+    The search runs on an explicit stack of frames [vertex bit, next colour
+    to try, colours in use before it, vertices its colour newly blocked].
+    ``blocked[c]`` holds the vertices with a neighbour coloured c, and
+    ``planes[j]`` those whose saturation count has bit j set.  Narrowing
+    the uncoloured vertices plane by plane from the top leaves those of
+    highest saturation, whose lowest set bit is the DSATUR choice.  Setting
+    or undoing a colour adds or takes one along a carry chain: O(log k)
+    whole-graph int operations per node, none per neighbour.
 
     Returns the colouring, None when there is none, or BUDGET_EXCEEDED once
     more than ``budget`` colours have been assigned; and the number of
     assignments made.
     """
     n = g.n
-    order = g.degree_order
-    bits = [1 << r for r in g.degree_rank]
-    colours = [-1] * n
-    sat = [0] * n  # bitmask of neighbour colours
-    buckets = [0] * (k + 1)
-    buckets[0] = (1 << n) - 1
+    blocked = [0] * k
+    planes: list[int] = []
+    free = (1 << n) - 1  # the uncoloured vertices
     frames: list[list] = []
-    used = 0
-    assigned = 0
+    used = assigned = 0
     while len(frames) < n:
-        s = used  # no saturation exceeds the colours in use
-        while not buckets[s]:
-            s -= 1
-        low = buckets[s] & -buckets[s]
-        buckets[s] ^= low
-        frames.append([order[low.bit_length() - 1], 0, used, ()])
+        pick = free
+        for plane in reversed(planes):
+            top = pick & plane
+            if top:
+                pick = top
+        low = pick & -pick
+        free ^= low
+        frame = [low, 0, used, 0]
+        frames.append(frame)
+        c = 0
         while True:
+            limit = used + 1 if used < k else k
+            while c < limit and blocked[c] & low:
+                c += 1
+            if c < limit:
+                break
+            # no colour left: pop, then undo the colour below and try its next
+            free |= low
+            frames.pop()
             if not frames:
                 return None, assigned
             frame = frames[-1]
-            u, c, used, changed = frame
-            if changed:
-                bit = 1 << c - 1
-                for v in changed:
-                    sat[v] ^= bit
-                    if colours[v] < 0:
-                        s = sat[v].bit_count()
-                        b = bits[v]
-                        buckets[s + 1] ^= b
-                        buckets[s] |= b
-            limit = used + 1 if used < k else k
-            while c < limit and sat[u] >> c & 1:
-                c += 1
-            if c == limit:
-                colours[u] = -1
-                buckets[sat[u].bit_count()] |= bits[u]
-                frames.pop()
-                continue
-            assigned += 1
-            if assigned > budget:
-                return BUDGET_EXCEEDED, assigned
-            colours[u] = c
-            bit = 1 << c
-            changed = [v for v in nbrs[u] if not sat[v] & bit]
-            for v in changed:
-                sat[v] |= bit
-                if colours[v] < 0:
-                    s = sat[v].bit_count()
-                    b = bits[v]
-                    buckets[s - 1] ^= b
-                    buckets[s] |= b
-            frame[1], frame[3] = c + 1, changed
-            if c == used:
-                used += 1
-            break
+            low, c, used, newly = frame
+            blocked[c - 1] ^= newly
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ newly
+                newly &= ~plane
+                if not newly:
+                    break
+        assigned += 1
+        if assigned > budget:
+            return BUDGET_EXCEEDED, assigned
+        newly = carry = nb[low.bit_length() - 1] & ~blocked[c]
+        blocked[c] |= carry
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+        frame[1], frame[3] = c + 1, newly
+        if c == used:
+            used += 1
+    colours = [0] * n
+    for low, c, _, _ in frames:
+        colours[g.degree_order[low.bit_length() - 1]] = c - 1
     return colours, assigned
 
 
@@ -170,23 +173,22 @@ def chromatic_number(
         raise ValueError("budget must be positive")
     if g.n == 0:
         return ColouringResult(0, (), None)
-    masks = g.neighbour_masks
-    if not any(masks):
+    if not g.arcs:
         return ColouringResult(1, (0,) * g.n, (0,))
-    nbrs = [list(_bits(m)) for m in masks]
+    nb = _rank_masks(g)
     left = inf if budget is None else budget
-    greedy, spent = _decide_colourable(g, nbrs, g.n, left)
+    greedy, spent = _decide_colourable(g, nb, g.n, left)
     if greedy is BUDGET_EXCEEDED:
         return BUDGET_EXCEEDED
     left -= spent
     ub = max(greedy) + 1
-    clique = sorted(_greedy_clique(masks, 24))
+    clique = sorted(_greedy_clique(g, 24))
     lb = max(len(clique), 2)
     best_colouring = greedy
     for k in range(lb, ub):
         if limit is not None and k > limit:
             return ColouringResult(None, None, None, exceeded_limit=True)
-        attempt, spent = _decide_colourable(g, nbrs, k, left)
+        attempt, spent = _decide_colourable(g, nb, k, left)
         if attempt is BUDGET_EXCEEDED:
             return BUDGET_EXCEEDED
         left -= spent

@@ -56,7 +56,7 @@ def arc_graph(g: Digraph) -> Digraph:
     return make_digraph(len(verts), arcs, name=name, labels=verts)
 
 
-def arc_graph_iter(g: Digraph, k: int, limit: int = DEFAULT_VERTEX_LIMIT) -> Digraph:
+def arc_graph_iter(g: Digraph, k: int) -> Digraph:
     """k-fold arc-graph iterate; k=0 returns g unchanged.
 
     The label table of the result holds the walk (u_0, ..., u_k) in g that
@@ -69,8 +69,8 @@ def arc_graph_iter(g: Digraph, k: int, limit: int = DEFAULT_VERTEX_LIMIT) -> Dig
     current = g
     chains: list[tuple[int, ...]] = [(v,) for v in range(g.n)]
     for _ in range(k):
-        if len(current.arcs) > limit:
-            raise SizeLimitExceeded("arc_graph_iter", len(current.arcs), limit)
+        if len(current.arcs) > DEFAULT_VERTEX_LIMIT:
+            raise SizeLimitExceeded("arc_graph_iter", len(current.arcs), DEFAULT_VERTEX_LIMIT)
         nxt = arc_graph(current)
         # a vertex of nxt is an arc (a, b) of current; its walk extends a's
         # walk by the last vertex of b's walk
@@ -80,7 +80,7 @@ def arc_graph_iter(g: Digraph, k: int, limit: int = DEFAULT_VERTEX_LIMIT) -> Dig
     return Digraph(current.n, current.arcs, name, tuple(chains))
 
 
-def interleaved_adjoint(g: Digraph, k: int, limit: int = DEFAULT_VERTEX_LIMIT) -> Digraph:
+def interleaved_adjoint(g: Digraph, k: int) -> Digraph:
     """Digraph on k-tuples of vertices of g.
 
     (u_1..u_k) -> (v_1..v_k) is an arc iff (u_i, v_i) is an arc for every i
@@ -89,8 +89,8 @@ def interleaved_adjoint(g: Digraph, k: int, limit: int = DEFAULT_VERTEX_LIMIT) -
     if k < 1:
         raise ConstructionError("tuple length k must be >= 1")
     size = g.n**k
-    if size > limit:
-        raise SizeLimitExceeded("interleaved_adjoint", size, limit)
+    if size > DEFAULT_VERTEX_LIMIT:
+        raise SizeLimitExceeded("interleaved_adjoint", size, DEFAULT_VERTEX_LIMIT)
     labels = list(iter_product(range(g.n), repeat=k))
     index = {t: i for i, t in enumerate(labels)}
     arcs = []
@@ -147,7 +147,7 @@ def is_oriented_tree(g: Digraph) -> bool:
     return g.tree_order is not None
 
 
-def tree_dual(t: Digraph, limit: int = DEFAULT_VERTEX_LIMIT) -> Digraph:
+def tree_dual(t: Digraph) -> Digraph:
     """Dual of an oriented tree t.
 
     Vertices are the functions f assigning to every vertex u of t an arc
@@ -164,8 +164,8 @@ def tree_dual(t: Digraph, limit: int = DEFAULT_VERTEX_LIMIT) -> Digraph:
     size = 1
     for lst in incident:
         size *= len(lst)
-        if size > limit:
-            raise SizeLimitExceeded("tree_dual", size, limit)
+        if size > DEFAULT_VERTEX_LIMIT:
+            raise SizeLimitExceeded("tree_dual", size, DEFAULT_VERTEX_LIMIT)
     funcs = list(iter_product(*incident))
     index = {f: i for i, f in enumerate(funcs)}
     arcs = []
@@ -205,10 +205,10 @@ def circular_complete(n: int, k: int) -> Digraph:
     return make_digraph(n, arcs, name=f"K_{n}/{k}")
 
 
-def b_graph(n: int, k: int, limit: int = DEFAULT_VERTEX_LIMIT) -> Digraph:
+def b_graph(n: int, k: int) -> Digraph:
     """Symmetrisation of the k-tuple interleaved adjoint of the transitive
     n-tournament."""
     if not (n >= 2 * k >= 2):
         raise ConstructionError(f"need n >= 2k >= 2, got n={n} k={k}")
-    g = symmetrize(interleaved_adjoint(tournament(n), k, limit=limit))
+    g = symmetrize(interleaved_adjoint(tournament(n), k))
     return g.rename(f"B({n},{k})")

@@ -282,10 +282,8 @@ def hom_exists(g: Digraph, h: Digraph, budget: int = DEFAULT_BUDGET) -> HomResul
         # index <= i.  Putting a greedy conflict clique first makes an
         # oversized clique wipe out by arc consistency alone; the rest is
         # clamped along descending degree.
-        clique = _greedy_clique(g.neighbour_masks, 8)
-        in_clique = set(clique)
-        rest = [u for u in g.degree_order if u not in in_clique]
-        for pos, u in enumerate(clique + rest):
+        order = dict.fromkeys([*_greedy_clique(g, 8), *g.degree_order])
+        for pos, u in enumerate(order):
             doms[u] = (2 << min(pos, h.n - 1)) - 1
     cons = _Constraints(g, h)
     if not cons.fixpoint(doms):

@@ -231,3 +231,23 @@ def test_chromatic_number_never_sets_recursion_limit(monkeypatch):
     cycle = make_digraph(n, [(i, (i + 1) % n) for i in range(n)])
     res = chromatic_number(cycle)
     assert res.chi == 3 and check_colouring(cycle, res.colouring)
+
+
+def test_h3_dual_decisions_are_pinned():
+    """Budgeted k-decisions on the 256-vertex duals of the h(3) family:
+    multi-word masks, refutations, colourings and budget cut-offs."""
+    import hashlib
+    import json
+
+    from digraphlab.coloring import _decide_colourable, _rank_masks
+    from digraphlab.paths import path_family
+
+    results = []
+    for p in path_family(9, 2):
+        dual = tree_dual(p.as_digraph())
+        args = _rank_masks(dual)
+        for k in (3, 4, 5, dual.n):
+            res, assigned = _decide_colourable(dual, args, k, 20_000)
+            results.append(["budget" if res is BUDGET_EXCEEDED else res, assigned])
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == "651f6b235868f820f4ad8164ce135611ebd9b65d72377f9463f32cad334694f1"

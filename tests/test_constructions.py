@@ -108,9 +108,10 @@ def test_arc_graph_iter_chains_match_walk_enumeration():
         assert set(d.arcs) == expected
 
 
-def test_arc_graph_iter_guard():
+def test_arc_graph_iter_guard(monkeypatch):
+    monkeypatch.setattr(constructions, "DEFAULT_VERTEX_LIMIT", 1000)
     with pytest.raises(SizeLimitExceeded):
-        arc_graph_iter(complete(8), 6, limit=1000)
+        arc_graph_iter(complete(8), 6)
 
 
 def test_interleaved_adjoint_k1_is_same_graph():
@@ -240,9 +241,10 @@ def test_tree_dual_rejects_non_trees():
         tree_dual(make_digraph(3, [(0, 1), (1, 2), (2, 0)]))
 
 
-def test_tree_dual_guard():
+def test_tree_dual_guard(monkeypatch):
+    monkeypatch.setattr(constructions, "DEFAULT_VERTEX_LIMIT", 10_000)
     with pytest.raises(SizeLimitExceeded):
-        tree_dual(path(20), limit=10_000)
+        tree_dual(path(20))
 
 
 def test_tree_dual_of_path_equivalent_to_tournament():
