@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from functools import wraps
+from itertools import permutations
 from math import ceil
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -64,6 +65,10 @@ MAX_STEEP_SPAN = 6
 
 #: Largest k accepted by h_function (dual sizes stay <= 2^(3k-1)).
 MAX_H_K = 3
+
+#: Largest vertex count of an exhaustive source sweep: 5 vertices would
+#: give 33,554,432 labelled digraphs in 291,968 classes.
+MAX_SOURCE_VERTICES = 4
 
 
 @dataclass
@@ -127,13 +132,16 @@ def verifier(claim: str) -> Callable[[Callable[..., Outcome]], Callable[..., Ver
     return register
 
 
-def _sweep(reports: Iterable[VerifyReport]) -> tuple[str, dict]:
+def _sweep(
+    reports: Iterable[VerifyReport], sizes: Optional[Sequence[int]] = None
+) -> tuple[str, dict]:
     """Verdict and witnesses of sub-checks run in order.
 
     The sweep stops at the first INDETERMINATE report, and FAIL >
     INDETERMINATE > PASS: a failure recorded before the stop makes it FAIL,
     else it takes that report's witnesses.  A failure is kept as its index,
-    params and witnesses.
+    params and witnesses.  ``checked`` counts the reports run before the
+    stop; with ``sizes``, report i counts as sizes[i] (a class of sources).
     """
     failures = []
     checked = 0
@@ -142,7 +150,7 @@ def _sweep(reports: Iterable[VerifyReport]) -> tuple[str, dict]:
             if not failures:
                 return INDETERMINATE, rep.witnesses
             return FAIL, {"checked": checked, "failures": failures, "stopped_by": rep.witnesses}
-        checked += 1
+        checked += sizes[i] if sizes is not None else 1
         if rep.verdict == FAIL:
             failures.append({"index": i, "params": rep.params, "witnesses": rep.witnesses})
     return (FAIL if failures else PASS), {"checked": checked, "failures": failures}
@@ -150,6 +158,12 @@ def _sweep(reports: Iterable[VerifyReport]) -> tuple[str, dict]:
 
 def _hom_json(h: Hom) -> list[int]:
     return list(h.map)
+
+
+def _count(name: str, value: int) -> None:
+    """A sweep's sample count is a usage error below zero."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 # --- instance generators ------------------------------------------------------
@@ -167,13 +181,65 @@ def random_digraph(rng: random.Random, n: int, p: float, loop_p: float = 0.0) ->
     return make_digraph(n, arcs, name=f"random({n})")
 
 
+def _source_vertices(max_vertices: int) -> int:
+    if max_vertices > MAX_SOURCE_VERTICES:
+        raise SizeLimitExceeded("source digraphs", max_vertices, MAX_SOURCE_VERTICES)
+    return max_vertices
+
+
 def all_digraphs(max_vertices: int) -> Iterator[Digraph]:
-    """Every digraph with at most max_vertices vertices, loops allowed, by arc-set rank."""
-    for n in range(max_vertices + 1):
+    """Every digraph with at most max_vertices vertices, loops allowed, by arc-set rank.
+
+    More than MAX_SOURCE_VERTICES vertices is SizeLimitExceeded, raised
+    before the first digraph is built."""
+    for n in range(_source_vertices(max_vertices) + 1):
         pairs = [(u, v) for u in range(n) for v in range(n)]
         for mask in range(1 << len(pairs)):
             arcs = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
             yield make_digraph(n, arcs)
+
+
+def digraph_classes(max_vertices: int) -> list[tuple[Digraph, int]]:
+    """One digraph per isomorphism class with at most max_vertices vertices,
+    loops allowed, by vertex count, each paired with its class size
+    n!/|Aut|, the number of labelled digraphs in the class.
+
+    Deleting vertex n - 1 of a digraph on n vertices leaves a digraph on
+    n - 1.  So extending every kept class on n - 1 vertices by each choice
+    of a loop at, and arcs to and from, a new vertex n - 1 reaches every
+    class on n vertices.  A candidate is kept when none of its relabellings
+    was met before, and then all of them are recorded; their number is the
+    class size.  Arc sets are int masks, bit n*u + v for the arc (u, v).
+    More than MAX_SOURCE_VERTICES vertices is SizeLimitExceeded, raised
+    before anything is built.
+    """
+    _source_vertices(max_vertices)
+    out: list[tuple[Digraph, int]] = []
+    # the kept classes on n vertices, as (arc list, class size)
+    level: list[tuple[list[tuple[int, int]], int]] = [([], 1)]
+    for n in range(max_vertices + 1):
+        if n:
+            new = n - 1
+            links = [(new, new)] + [arc for x in range(new) for arc in ((x, new), (new, x))]
+            extras: list[list[tuple[int, int]]] = [[]]  # every subset of links
+            for arc in links:
+                extras += [extra + [arc] for extra in extras]
+            extra_masks = [sum(1 << n * u + v for u, v in extra) for extra in extras]
+            perms = list(permutations(range(n)))
+            seen: set[int] = set()
+            kept = []
+            for arcs, _ in level:
+                base = sum(1 << n * u + v for u, v in arcs)
+                for extra, extra_mask in zip(extras, extra_masks):
+                    if base | extra_mask in seen:
+                        continue
+                    grown = arcs + extra
+                    orbit = {sum(1 << n * p[u] + p[v] for u, v in grown) for p in perms}
+                    seen |= orbit
+                    kept.append((grown, len(orbit)))
+            level = kept
+        out.extend((make_digraph(n, arcs), size) for arcs, size in level)
+    return out
 
 
 def _tree_code(n: int, arcs: Sequence[tuple[int, int]]) -> tuple:
@@ -285,6 +351,7 @@ def verify_gencol_sweep(
     k: int = 2,
     seed: int = 20103,
 ) -> Outcome:
+    _count("samples", samples)
     rng = random.Random(seed)
     reports = (
         verify_gencol(random_digraph(rng, rng.randint(1, max_vertices), rng.uniform(0.15, 0.6)), k)
@@ -363,6 +430,7 @@ def verify_adjunction_sweep(
     """The adjunction on random pairs.  An INDETERMINATE sample is counted
     and skipped, so the other samples are still checked; FAIL >
     INDETERMINATE > PASS."""
+    _count("samples", samples)
     rng = random.Random(seed)
     failures = []
     indeterminate = 0
@@ -448,10 +516,17 @@ def _finobs_check(
     return params, PASS if ok else FAIL, witnesses
 
 
+def _finobs_args(n: int, k: int) -> None:
+    """The finobs claims need the n-tournament and at most n reversals."""
+    if not (n >= 0 and 1 <= k <= n + 1):
+        raise ValueError(f"finobs needs n >= 0 and 1 <= k <= n + 1, got n={n} k={k}")
+
+
 @verifier("finobs")
 def verify_finobs(g: Digraph, n: int, k: int, budget: int = DEFAULT_BUDGET) -> Outcome:
     """No-hom into the adjoint of the n-tournament iff some path with < k
     reversals maps into g; a found path is lifted back as a sanity check."""
+    _finobs_args(n, k)
     return _finobs_check(g, n, k, interleaved_adjoint(tournament(n), k), _finobs_paths(n, k), budget)
 
 
@@ -459,16 +534,24 @@ def verify_finobs(g: Digraph, n: int, k: int, budget: int = DEFAULT_BUDGET) -> O
 def verify_finobs_exhaustive(
     n: int, k: int, max_vertices: int = 3, budget: int = DEFAULT_BUDGET
 ) -> Outcome:
-    """The finobs check on every digraph with at most max_vertices vertices;
-    the target and the path digraphs are built once and shared by every
-    source's searches."""
+    """The finobs check on every digraph with at most max_vertices vertices.
+
+    Both sides of the iff are invariant under relabelling the source, so
+    one source per isomorphism class (``digraph_classes``) is checked, and
+    ``checked`` counts labelled digraphs, the sum of the class sizes; a
+    failure's index is its class index.  The target and the path digraphs
+    are built once and shared by every source's searches.
+    """
+    _finobs_args(n, k)
+    classes = digraph_classes(max_vertices)
     target = interleaved_adjoint(tournament(n), k)
     paths = _finobs_paths(n, k)
     reports = (
         VerifyReport("finobs", *_finobs_check(g, n, k, target, paths, budget))
-        for g in all_digraphs(max_vertices)
+        for g, _ in classes
     )
-    return {"n": n, "k": k, "max_vertices": max_vertices}, *_sweep(reports)
+    params = {"n": n, "k": k, "max_vertices": max_vertices}
+    return params, *_sweep(reports, [size for _, size in classes])
 
 
 @verifier("minty")
@@ -492,26 +575,19 @@ def verify_minty(g: Digraph, c: int, k: int, budget: int = DEFAULT_BUDGET) -> Ou
 # --- tree duality -------------------------------------------------------------
 
 
-@verifier("duality-tree")
-def verify_duality_tree(
-    t: Digraph, sources: Optional[Iterable[Digraph]] = None, budget: int = DEFAULT_BUDGET
-) -> Outcome:
-    """hom(G, dual(T)) iff not hom(T, G), over the given source sample
-    (default: every digraph with at most 3 vertices).  The tree side is
-    decided by ``tree_hom``, which needs no budget; ``budget`` bounds the
-    dual side."""
-    if sources is None:
-        sources = all_digraphs(3)
+def _duality_check(t: Digraph, classes: Iterable[tuple[Digraph, int]], budget: int) -> Outcome:
+    """hom(G, dual(T)) iff not hom(T, G) for each source G of ``classes``,
+    pairs of a digraph and the number of labelled sources it stands for."""
     dual = tree_dual(t)
     params = {"tree": to_json_dict(t), "dual_vertices": dual.n}
     failures = []
     checked = 0
-    for g in sources:
+    for g, size in classes:
         a = hom_exists(g, dual, budget)
         if a is BUDGET_EXCEEDED:
             return params, INDETERMINATE, {"budget": budget}
         b = tree_hom(t, g)
-        checked += 1
+        checked += size
         if (a is not None) != (b is None):
             failures.append(
                 {
@@ -524,21 +600,38 @@ def verify_duality_tree(
     return params, PASS if not failures else FAIL, witnesses
 
 
+@verifier("duality-tree")
+def verify_duality_tree(
+    t: Digraph, sources: Optional[Iterable[Digraph]] = None, budget: int = DEFAULT_BUDGET
+) -> Outcome:
+    """hom(G, dual(T)) iff not hom(T, G), over the given source sample,
+    each source checked and counted once.  The default is every digraph
+    with at most 3 vertices: one per isomorphism class, counted by class
+    size.  The tree side is decided by ``tree_hom``, which needs no budget;
+    ``budget`` bounds the dual side."""
+    classes = digraph_classes(3) if sources is None else ((g, 1) for g in sources)
+    return _duality_check(t, classes, budget)
+
+
 @verifier("duality-tree-exhaustive")
 def verify_duality_tree_exhaustive(
     max_tree_arcs: int = 4, max_source_vertices: int = 3, budget: int = DEFAULT_BUDGET
 ) -> Outcome:
     """Duality over every oriented tree (up to isomorphism) and every source
-    digraph within the given sizes."""
-    sources = list(all_digraphs(max_source_vertices))
+    digraph within the given sizes.  Sources are swept one per isomorphism
+    class; ``sources`` and each tree's ``checked`` count labelled digraphs,
+    the sum of the class sizes."""
+    classes = digraph_classes(max_source_vertices)
     trees = oriented_trees(max_tree_arcs)
     params = {
         "max_tree_arcs": max_tree_arcs,
         "max_source_vertices": max_source_vertices,
         "trees": len(trees),
-        "sources": len(sources),
+        "sources": sum(size for _, size in classes),
     }
-    verdict, witnesses = _sweep(verify_duality_tree(t, sources, budget) for t in trees)
+    verdict, witnesses = _sweep(
+        VerifyReport("duality-tree", *_duality_check(t, classes, budget)) for t in trees
+    )
     if verdict != INDETERMINATE:
         del witnesses["checked"]  # the report lists only failures; params count the trees
     return params, verdict, witnesses
@@ -619,6 +712,7 @@ def verify_mulpath_sweep(
     seed: int = 20108,
     budget: int = DEFAULT_BUDGET,
 ) -> Outcome:
+    _count("samples", samples)
     rng = random.Random(seed)
     reports = (
         verify_mulpath(
@@ -666,6 +760,7 @@ def verify_hompath_sweep(
     seed: int = 20109,
     budget: int = DEFAULT_BUDGET,
 ) -> Outcome:
+    _count("samples", samples)
     rng = random.Random(seed)
     reports = (
         verify_hompath(
@@ -811,6 +906,7 @@ def verify_steep_path(
 ) -> Outcome:
     """Find the steep path, validate its family homs and span, and check it
     maps into sample digraphs of chromatic number >= 4."""
+    _count("consequence_samples", consequence_samples)
     params = {"ell": ell, "consequence_samples": consequence_samples}
     result = find_steep_path(ell)
     q = result.path
@@ -1031,6 +1127,7 @@ def verify_oracle_equivalence(
 ) -> Outcome:
     """Search engine agrees with exhaustive enumeration on random pairs."""
     params = {"samples": samples, "max_vertices": max_vertices}
+    _count("samples", samples)
     rng = random.Random(seed)
     failures = []
     for i in range(samples):
@@ -1070,6 +1167,7 @@ def verify_width1_completeness(
         "random_sources": random_sources,
         "max_source_vertices": max_source_vertices,
     }
+    _count("random_sources", random_sources)
     rng = random.Random(seed)
     sources = list(all_digraphs(2))
     for _ in range(random_sources):

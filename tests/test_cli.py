@@ -221,6 +221,42 @@ def test_verify_missing_argument_is_usage_error(capsys, argv, flag):
     assert code == 3 and out == "" and f"{flag} is required for this claim" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --claim duality-tree --max-tree-arcs 1 --max-vertices 5",
+        "verify --claim duality-tree --tree @p2 --max-vertices 5",
+        "verify --claim finobs --n 3 --k 2 --max-vertices 5",
+    ],
+)
+def test_source_sweep_past_four_vertices_is_refused(tmp_path, capsys, argv):
+    file_of = _graph_files(tmp_path)
+    args = [file_of(a[1:]) if a.startswith("@") else a for a in argv.split()]
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == "" and err.startswith("refused: source digraphs: size 5 exceeds limit 4")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --claim gencol --samples -1",
+        "verify --claim adjunction --samples -1",
+        "verify --claim mulpath --samples -1",
+        "verify --claim hompath --samples -1",
+        "find-steep-path --ell 3 --check-consequence -1",
+    ],
+)
+def test_negative_sample_count_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 3 and out == "" and "must be >= 0, got -1" in err
+
+
+def test_finobs_usage_error_names_the_given_k(capsys):
+    code, out, err = run(capsys, "verify", "--claim", "finobs", "--n", "0", "--k", "2")
+    assert code == 3 and out == ""
+    assert err == "error: finobs needs n >= 0 and 1 <= k <= n + 1, got n=0 k=2\n"
+
+
 @pytest.mark.parametrize("claim", ["finobs", "mulpath", "hompath"])
 def test_verify_budget_exhaustion_exits_two(capsys, claim):
     code, out, _ = run(capsys, "verify", "--claim", claim, "--n", "3", "--k", "2", "--budget", "1", "--json")

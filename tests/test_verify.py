@@ -19,9 +19,13 @@ from digraphlab import (
     path,
     path_family,
     tournament,
+    tree_dual,
+    tree_hom,
     validate_hom,
 )
 from digraphlab import verify as V
+
+from _helpers import brute_isomorphic
 
 
 def test_report_json_schema():
@@ -392,6 +396,96 @@ def test_yz_42():
 def test_finobs_exhaustive_tiny():
     rep = V.verify_finobs_exhaustive(3, 2, max_vertices=2)
     assert rep.passed and rep.witnesses["checked"] == 19
+
+
+def test_digraph_class_counts_and_sizes():
+    classes = V.digraph_classes(4)
+    # OEIS A000595: digraphs with loops allowed on n unlabelled vertices
+    assert [sum(g.n == n for g, _ in classes) for n in range(5)] == [1, 2, 10, 104, 3044]
+    for n in range(5):
+        assert sum(size for g, size in classes if g.n == n) == 2 ** (n * n)
+    assert [g.n for g, _ in classes] == sorted(g.n for g, _ in classes)
+    assert V.digraph_classes(-1) == []
+
+
+def test_every_labelled_digraph_falls_in_exactly_one_class():
+    classes = V.digraph_classes(3)
+    members = [0] * len(classes)
+    for g in V.all_digraphs(3):
+        hits = [i for i, (r, _) in enumerate(classes) if brute_isomorphic(g, r)]
+        assert len(hits) == 1
+        members[hits[0]] += 1
+    assert members == [size for _, size in classes]
+
+
+def test_class_sweeps_match_labelled_sweeps_at_two_vertices():
+    n, k, budget = 3, 2, V.DEFAULT_BUDGET
+    target = interleaved_adjoint(tournament(n), k)
+    paths = V._finobs_paths(n, k)
+    trees = V.oriented_trees(2)
+    classes = V.digraph_classes(2)
+
+    def answers(g):
+        _, verdict, w = V._finobs_check(g, n, k, target, paths, budget)
+        duality = [
+            (
+                V._duality_check(t, [(g, 1)], budget)[1],
+                hom_exists(g, tree_dual(t)) is not None,
+                tree_hom(t, g) is not None,
+            )
+            for t in trees
+        ]
+        return verdict, w["no_hom_to_adjoint"], w["obstruction_found"], duality
+
+    for g in V.all_digraphs(2):
+        (rep,) = [r for r, _ in classes if brute_isomorphic(g, r)]
+        assert answers(g) == answers(rep)
+
+    labelled = V._sweep(
+        V.VerifyReport("finobs", *V._finobs_check(g, n, k, target, paths, budget))
+        for g in V.all_digraphs(2)
+    )
+    rep = V.verify_finobs_exhaustive(n, k, max_vertices=2)
+    assert (rep.verdict, rep.witnesses) == labelled
+    for t in trees:
+        by_class = V._duality_check(t, classes, budget)
+        by_label = V.verify_duality_tree(t, V.all_digraphs(2))
+        assert by_class == (by_label.params, by_label.verdict, by_label.witnesses)
+    assert V.verify_duality_tree_exhaustive(2, 2).params["sources"] == 19
+
+
+def test_source_sweeps_refuse_five_vertices_before_building():
+    for build in (V.digraph_classes, lambda m: next(V.all_digraphs(m))):
+        with pytest.raises(SizeLimitExceeded):
+            build(V.MAX_SOURCE_VERTICES + 1)
+    with pytest.raises(SizeLimitExceeded):
+        V.verify_finobs_exhaustive(3, 2, max_vertices=5)
+    with pytest.raises(SizeLimitExceeded):
+        V.verify_duality_tree_exhaustive(1, 5)
+
+
+@pytest.mark.parametrize(
+    "verifier, count",
+    [
+        (V.verify_gencol_sweep, "samples"),
+        (V.verify_adjunction_sweep, "samples"),
+        (V.verify_mulpath_sweep, "samples"),
+        (V.verify_hompath_sweep, "samples"),
+        (V.verify_oracle_equivalence, "samples"),
+        (V.verify_width1_completeness, "random_sources"),
+        (V.verify_steep_path, "consequence_samples"),
+    ],
+)
+def test_negative_sample_count_is_refused(verifier, count):
+    with pytest.raises(ValueError, match=f"{count} must be >= 0, got -1"):
+        verifier(**{count: -1})
+
+
+@pytest.mark.parametrize("n, k", [(0, 2), (3, 0), (3, 5), (-1, 1)])
+def test_finobs_refuses_arguments_naming_the_given_k(n, k):
+    for verifier in (lambda: V.verify_finobs(path(1), n, k), lambda: V.verify_finobs_exhaustive(n, k, 1)):
+        with pytest.raises(ValueError, match=f"got n={n} k={k}$"):
+            verifier()
 
 
 def test_run_profile_quick_inline():
