@@ -179,7 +179,6 @@ CLAIMS = {
 #: value), for parameters not named after their flag.
 _SET_BY = {
     "max_source_vertices": ("max_vertices", None),
-    "sources": ("max_vertices", lambda m: list(V.all_digraphs(m))),
     "consequence_samples": ("check_consequence", None),
 }
 

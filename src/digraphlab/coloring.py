@@ -37,17 +37,6 @@ def check_colouring(g: Digraph, colours: Sequence[int]) -> bool:
     return all(colours[u] != colours[v] for u, v in g.arcs)
 
 
-def _rank_masks(g: Digraph) -> list[int]:
-    """The neighbour masks of loopless g, vertex v at entry and bit ``g.degree_rank[v]``."""
-    rank = g.degree_rank
-    bit = [1 << r for r in rank]
-    nb = [0] * g.n
-    for u, v in g.arcs:
-        nb[rank[u]] |= bit[v]
-        nb[rank[v]] |= bit[u]
-    return nb
-
-
 def _greedy_clique(g: Digraph, starts: int) -> list[int]:
     """Best clique grown greedily from each of the first ``starts`` vertices
     of ``g.degree_order``, in growth order: each step adds the candidate
@@ -80,7 +69,7 @@ def _decide_colourable(
     (DSATUR): highest saturation first, then highest degree, then lowest
     index; colours ascending, at most one fresh colour per step to break
     colour symmetry.  With k = n the first descent never backtracks and is
-    the greedy DSATUR colouring.  ``nb`` is ``_rank_masks(g)``: every mask
+    the greedy DSATUR colouring.  ``nb`` is ``g.rank_masks``: every mask
     holds vertex v at bit ``g.degree_rank[v]``.
 
     The search runs on an explicit stack of frames [vertex bit, next colour
@@ -175,7 +164,7 @@ def chromatic_number(
         return ColouringResult(0, (), None)
     if not g.arcs:
         return ColouringResult(1, (0,) * g.n, (0,))
-    nb = _rank_masks(g)
+    nb = g.rank_masks
     left = inf if budget is None else budget
     greedy, spent = _decide_colourable(g, nb, g.n, left)
     if greedy is BUDGET_EXCEEDED:

@@ -49,8 +49,12 @@ def arc_graph(g: Digraph) -> Digraph:
     verts = list(g.arcs)
     index = {a: i for i, a in enumerate(verts)}
     arcs = []
+    out_masks = g.out_masks
     for u, v in verts:
-        for w in sorted(g.out_sets[v]):
+        rest = out_masks[v]
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
             arcs.append((index[(u, v)], index[(v, w)]))
     name = f"arc_graph({g.name})" if g.name else "arc_graph"
     return make_digraph(len(verts), arcs, name=name, labels=verts)
@@ -103,17 +107,17 @@ def interleaved_adjoint(g: Digraph, k: int) -> Digraph:
 
 def _interleave_successors(u, g: Digraph, k: int):
     """All tuples v that u interleaves into, built coordinate by coordinate."""
-    outs = g.out_sets
+    outs, ins = g.out_masks, g.in_masks
     partial = [()]
     for i in range(k):
-        nxt = []
-        for pref in partial:
-            candidates = outs[u[i]]
-            if i + 1 < k:
-                candidates = candidates & g.in_sets[u[i + 1]]
-            for vi in sorted(candidates):
-                nxt.append(pref + (vi,))
-        partial = nxt
+        candidates = outs[u[i]]
+        if i + 1 < k:
+            candidates &= ins[u[i + 1]]
+        values = []
+        while candidates:
+            values.append((candidates & -candidates).bit_length() - 1)
+            candidates &= candidates - 1
+        partial = [pref + (vi,) for pref in partial for vi in values]
         if not partial:
             return
     yield from partial

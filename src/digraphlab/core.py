@@ -63,20 +63,6 @@ class Digraph:
         return frozenset(self.arcs)
 
     @cached_property
-    def out_sets(self) -> tuple[frozenset[int], ...]:
-        outs: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.arcs:
-            outs[u].add(v)
-        return tuple(frozenset(s) for s in outs)
-
-    @cached_property
-    def in_sets(self) -> tuple[frozenset[int], ...]:
-        ins: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.arcs:
-            ins[v].add(u)
-        return tuple(frozenset(s) for s in ins)
-
-    @cached_property
     def out_masks(self) -> tuple[int, ...]:
         """Bit v of ``out_masks[u]`` is arc (u, v), loops included."""
         masks = [0] * self.n
@@ -147,6 +133,19 @@ class Digraph:
         for r, x in enumerate(self.degree_order):
             rank[x] = r
         return tuple(rank)
+
+    @cached_property
+    def rank_masks(self) -> tuple[int, ...]:
+        """``neighbour_masks`` in rank space: entry r holds the neighbours of
+        ``degree_order[r]``, each vertex v at bit ``degree_rank[v]``."""
+        rank = self.degree_rank
+        bit = [1 << r for r in rank]
+        masks = [0] * self.n
+        for u, v in self.arcs:
+            if u != v:
+                masks[rank[u]] |= bit[v]
+                masks[rank[v]] |= bit[u]
+        return tuple(masks)
 
     @cached_property
     def tree_order(self) -> Optional[tuple[tuple[int, int, bool], ...]]:

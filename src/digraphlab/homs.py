@@ -12,17 +12,32 @@ targets whose obstruction sets are trees, arc consistency alone decides; the
 search then never actually backtracks.  A categorical product is searched
 as the digraph ``ProductSpec.materialize()`` builds.
 
+A complete symmetric target K_c, the target of every colouring question,
+has a search of its own with the same answers.  Into K_c a domain loses a
+colour only when a neighbour is left with that colour alone, so the domains
+are kept the other way round: c colour planes over the source's degree rank,
+bit r of plane x set while the vertex of rank r may still take colour x,
+with the domain sizes bit-sliced.  A vertex left with one colour takes it
+from all its neighbours in one mask operation, and the new singletons this
+makes cascade; that is exactly the AC-3 fixpoint into K_c.  Frames save the
+planes, not a trail.  It keeps a clamp (a greedy clique first, then
+descending degree, the i-th vertex starting with colours 0 .. i) and MAC's
+branching order, ascending colours and node count, so every witness, every
+None and every BUDGET_EXCEEDED are those MAC gives from the same clamp.
+Once no two unassigned vertices are adjacent, the nodes MAC has left each
+colour one of them with its lowest colour, so they are counted in one step.
+
 An oriented-tree source needs no search at all: ``tree_hom`` runs
 directional arc consistency in two passes over the tree's cached BFS order,
 leaves to root and back, on the same domains and support memo.
-``hom_exists`` keeps MAC for every source, so its witnesses do not depend on
-whether the source is a tree.
+``hom_exists`` keeps its search for every source, so its witnesses do not
+depend on whether the source is a tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .coloring import _greedy_clique
 from .core import BUDGET_EXCEEDED, Digraph, Hom, SizeLimitExceeded, _Budget, validate_hom
@@ -262,12 +277,153 @@ def _is_complete_symmetric(h: Digraph) -> bool:
     return len(h.arcs) == h.n * (h.n - 1) and not h.loops
 
 
+def _settle(planes: list[int], tail: list[int], wave: int, nb: Sequence[int]) -> bool:
+    """Arc consistency into K_c from the singletons in ``wave``; False on a
+    wipeout, with the state partly filtered.
+
+    ``planes[x]`` holds the vertices (by degree rank) whose domain holds
+    colour x, and ``tail[j]`` bit j of each domain size minus one.  The
+    singletons of colour x take it from all their neighbours in one mask
+    operation.  A vertex whose size then borrows past the top of ``tail``
+    is empty; one whose size reaches one joins the wave.
+    """
+    while wave:
+        for x in range(len(planes)):
+            plane = planes[x]
+            batch = wave & plane
+            if not batch:
+                continue
+            wave ^= batch
+            hit = 0
+            while batch:
+                r = batch.bit_length() - 1
+                hit |= nb[r]
+                batch ^= 1 << r
+            hit &= plane
+            if hit:
+                planes[x] = plane ^ hit
+                j = 0
+                borrow = hit
+                for t in tail:
+                    tail[j] = t ^ borrow
+                    borrow &= ~t
+                    if not borrow:
+                        break
+                    j += 1
+                else:
+                    return False
+                for t in tail:
+                    hit &= ~t
+                wave |= hit
+            if not wave:
+                break
+    return True
+
+
+def _complete_search(g: Digraph, c: int, budget: int):
+    """Colour g with c colours, the hom into K_c that MAC would find.
+
+    Domains are the colour planes of ``_settle`` over g's degree rank, and
+    their sizes are bit-sliced in ``tail``.  For K_c, AC-3 removes a value
+    only when a neighbour's domain is that single value, so ``_settle``
+    reaches the same fixpoint.  The clamp is the same: along a greedy
+    conflict clique and then descending degree, the i-th vertex starts with
+    colours 0 .. min(i, c - 1), as a hom can always be relabelled so; an
+    oversized clique wipes out before any value is tried.  Branching is
+    ``_mac_search``'s: smallest domain of size >= 2, lowest rank on ties,
+    colours ascending, one node per colour tried.  So the witness, the None
+    and the budget cut-off are those of MAC.  A frame is [vertex bit, its
+    colours, how many were tried, planes and tail at the pick with the
+    vertex taken out].
+
+    Once no two unassigned vertices are adjacent, each of MAC's remaining
+    nodes gives one of them its lowest colour, propagates nothing and never
+    fails; those nodes are counted and their colours set in one pass.  The
+    test runs only after a colour that no neighbour held.
+    """
+    nb = g.rank_masks
+    rank = g.degree_rank
+    full = (1 << g.n) - 1
+    tail = [full if (c - 1) >> j & 1 else 0 for j in range((c - 1).bit_length())]
+    planes = [full] * c
+    clamped = list(dict.fromkeys([*_greedy_clique(g, 8), *g.degree_order[: c - 1]]))[: c - 1]
+    for pos, u in enumerate(clamped):
+        bit = 1 << rank[u]
+        for j, t in enumerate(tail):
+            tail[j] = t | bit if pos >> j & 1 else t & ~bit
+        for x in range(pos + 1, c):
+            planes[x] ^= bit
+    singletons = full
+    for t in tail:
+        singletons &= ~t
+    if not _settle(planes, tail, singletons, nb):
+        return None
+    frames: list[list] = []
+    nodes = 0
+    held = True  # whether a neighbour held the colour last assigned
+    while True:
+        pick = 0
+        for t in tail:
+            pick |= t
+        if not held:
+            rest = pick
+            while rest and not nb[(rest & -rest).bit_length() - 1] & pick:
+                rest &= rest - 1
+            if pick and not rest:
+                nodes += pick.bit_count()
+                if nodes > budget:
+                    return BUDGET_EXCEEDED
+                rest = pick
+                for x, plane in enumerate(planes):
+                    planes[x] = plane & ~pick | plane & rest
+                    rest &= ~plane
+                pick = 0
+        if not pick:
+            colours = [0] * g.n
+            order = g.degree_order
+            for x, plane in enumerate(planes):
+                while plane:
+                    r = plane.bit_length() - 1
+                    colours[order[r]] = x
+                    plane ^= 1 << r
+            return tuple(colours)
+        for t in reversed(tail):
+            if pick & ~t:
+                pick &= ~t
+        low = pick & -pick
+        domain = []
+        for x, plane in enumerate(planes):
+            if plane & low:
+                domain.append(x)
+                planes[x] = plane ^ low
+        frames.append([low, domain, 0, planes, [t & ~low for t in tail]])
+        while True:
+            if not frames:
+                return None
+            frame = frames[-1]
+            low, domain, tried, cleared, cleared_tail = frame
+            if tried == len(domain):
+                frames.pop()
+                continue
+            frame[2] = tried + 1
+            nodes += 1
+            if nodes > budget:
+                return BUDGET_EXCEEDED
+            planes = cleared[:]
+            planes[domain[tried]] |= low
+            tail = cleared_tail[:]
+            held = nb[low.bit_length() - 1] & planes[domain[tried]]
+            if not held or _settle(planes, tail, low, nb):
+                break
+
+
 def hom_exists(g: Digraph, h: Digraph, budget: int = DEFAULT_BUDGET) -> HomResult:
     """Search for a hom of g into h.
 
     Returns a validated witness, None when the exhaustive search proves there
     is none, or BUDGET_EXCEEDED when more than ``budget`` values were tried
-    (no claim).
+    (no claim).  Complete symmetric targets K_c go to ``_complete_search``,
+    every other target to MAC.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -275,20 +431,16 @@ def hom_exists(g: Digraph, h: Digraph, budget: int = DEFAULT_BUDGET) -> HomResul
         return Hom((), g.name, h.name)
     if h.n == 0:
         return None
-    doms = [(1 << h.n) - 1] * g.n
     if _is_complete_symmetric(h):
-        # all target vertices are interchangeable: along any fixed source
-        # order, a hom can be relabelled so the i-th vertex uses a colour
-        # index <= i.  Putting a greedy conflict clique first makes an
-        # oversized clique wipe out by arc consistency alone; the rest is
-        # clamped along descending degree.
-        order = dict.fromkeys([*_greedy_clique(g, 8), *g.degree_order])
-        for pos, u in enumerate(order):
-            doms[u] = (2 << min(pos, h.n - 1)) - 1
-    cons = _Constraints(g, h)
-    if not cons.fixpoint(doms):
-        return None
-    assignment = _mac_search(cons, doms, budget)
+        if g.loops:
+            return None
+        assignment = _complete_search(g, h.n, budget)
+    else:
+        cons = _Constraints(g, h)
+        doms = [(1 << h.n) - 1] * g.n
+        if not cons.fixpoint(doms):
+            return None
+        assignment = _mac_search(cons, doms, budget)
     if assignment is None or assignment is BUDGET_EXCEEDED:
         return assignment
     witness = Hom(assignment, g.name, h.name)

@@ -602,14 +602,17 @@ def _duality_check(t: Digraph, classes: Iterable[tuple[Digraph, int]], budget: i
 
 @verifier("duality-tree")
 def verify_duality_tree(
-    t: Digraph, sources: Optional[Iterable[Digraph]] = None, budget: int = DEFAULT_BUDGET
+    t: Digraph,
+    sources: Optional[Iterable[Digraph]] = None,
+    budget: int = DEFAULT_BUDGET,
+    max_source_vertices: int = 3,
 ) -> Outcome:
     """hom(G, dual(T)) iff not hom(T, G), over the given source sample,
     each source checked and counted once.  The default is every digraph
-    with at most 3 vertices: one per isomorphism class, counted by class
-    size.  The tree side is decided by ``tree_hom``, which needs no budget;
-    ``budget`` bounds the dual side."""
-    classes = digraph_classes(3) if sources is None else ((g, 1) for g in sources)
+    with at most ``max_source_vertices`` vertices: one per isomorphism
+    class, counted by class size.  The tree side is decided by
+    ``tree_hom``, which needs no budget; ``budget`` bounds the dual side."""
+    classes = digraph_classes(max_source_vertices) if sources is None else ((g, 1) for g in sources)
     return _duality_check(t, classes, budget)
 
 

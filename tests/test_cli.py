@@ -236,6 +236,18 @@ def test_source_sweep_past_four_vertices_is_refused(tmp_path, capsys, argv):
     assert code == 2 and out == "" and err.startswith("refused: source digraphs: size 5 exceeds limit 4")
 
 
+def test_duality_tree_sweeps_one_source_per_class(tmp_path, capsys, monkeypatch):
+    from digraphlab import verify
+
+    calls = []
+    tree_hom = verify.tree_hom
+    monkeypatch.setattr(verify, "tree_hom", lambda t, g: calls.append(g) or tree_hom(t, g))
+    code, out, _ = run(capsys, "verify", "--claim", "duality-tree", "--tree",
+                       _graph_files(tmp_path)("p2"), "--max-vertices", "4", "--json")
+    assert code == 0 and json.loads(out)["witnesses"]["checked"] == 66_067
+    assert len(calls) == len(verify.digraph_classes(4)) == 3_161
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -356,6 +368,10 @@ VERIFY_CLI_DIGESTS = {
         "4b422beb91a335e8a20464a9857620e77e4953f9a17ec464d82e4b8b18c15ba3",
     "--claim duality-tree --tree @p2":
         "e64a46d2b1e4cd6c59f1c455ba364b25672a0b78b780bfc90e49ff50bd5ef835",
+    "--claim duality-tree --tree @p2 --max-vertices 2":
+        "0914af9d972baaf007e2b8aaacd089a420824597813c7244f4c865762f2ac93c",
+    "--claim duality-tree --tree @p2 --max-vertices 4":
+        "7a540aa4d5533d6cf530a9ee1476215a5ef29862c0ed0eb10d8857503a78164d",
     "--claim inadprod --n 3 --k 1":
         "633a92e6ec3da02968f7eceb70cc1f8b712abf86d5459dd2e0353cc43961ce08",
     "--claim mulpath --samples 3":

@@ -239,13 +239,13 @@ def test_h3_dual_decisions_are_pinned():
     import hashlib
     import json
 
-    from digraphlab.coloring import _decide_colourable, _rank_masks
+    from digraphlab.coloring import _decide_colourable
     from digraphlab.paths import path_family
 
     results = []
     for p in path_family(9, 2):
         dual = tree_dual(p.as_digraph())
-        args = _rank_masks(dual)
+        args = dual.rank_masks
         for k in (3, 4, 5, dual.n):
             res, assigned = _decide_colourable(dual, args, k, 20_000)
             results.append(["budget" if res is BUDGET_EXCEEDED else res, assigned])

@@ -28,6 +28,7 @@ from digraphlab import (
 from digraphlab import homs, verify
 from digraphlab.constructions import b_graph
 from digraphlab.core import SizeLimitExceeded
+from digraphlab.paths import OrientedPath
 from digraphlab.verify import all_digraphs, random_digraph
 
 
@@ -365,6 +366,14 @@ def _oriented_tree(seed, n):
     return make_digraph(n, arcs)
 
 
+def _digits(text):
+    return tuple(map(int, text))
+
+
+def _h3_dual(dirs):
+    return tree_dual(OrientedPath.parse(dirs).as_digraph())
+
+
 # Node counts (values tried) and witnesses of the search tree: a change to the
 # variable or value order, or to the propagation at each node, moves them.
 PINNED_SEARCHES = {
@@ -392,6 +401,39 @@ PINNED_SEARCHES = {
         (2, 0, 2, 0, 2, 0, 0, 2, 2, 0, 2, 2, 0, 0),
     ),
     "C7-into-C5-refuted": (lambda: (_directed_cycle(7), _directed_cycle(5)), 5, None),
+    "oriented-into-K3-refuted": (lambda: (_oriented_graph(8, 40, 95), complete(3)), 14, None),
+    "oriented-into-K4": (
+        lambda: (_oriented_graph(0, 18, 40), complete(4)),
+        9,
+        _digits("021030120100310132"),
+    ),
+    # the path is coloured by propagation; each colour of the 5-cycle's
+    # first vertex wipes out
+    "path-and-C5-into-K2-refuted": (
+        lambda: (make_digraph(9, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8), (8, 4)]),
+                 complete(2)),
+        2,
+        None,
+    ),
+    "matching-into-K2": (
+        lambda: (make_digraph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (6, 7)]), complete(2)),
+        2,
+        _digits("10100101"),
+    ),
+    "isolated-into-K1": (lambda: (make_digraph(3, []), complete(1)), 1, (0, 0, 0)),
+    "arc-into-K1-refuted": (lambda: (make_digraph(3, [(0, 2)]), complete(1)), 1, None),
+    # an h(3) dual whose chromatic number 5 exceeds its greedy clique
+    "h3-dual-into-K5": (
+        lambda: (_h3_dual("++++-++++"), complete(5)),
+        232,
+        _digits(
+            "0000000010101010000000001010101000000000101010100000000010101010"
+            "0000000010101010000000001010101000000000101010100000000010101010"
+            "1111424211114242000000001010404011112222111132220000000010103020"
+            "2222222242224222000000001010402033333333433333330000000010103020"
+        ),
+    ),
+    "h3-dual-into-K4-refuted": (lambda: (_h3_dual("++++-++++"), complete(4)), 1, None),
 }
 
 
@@ -404,7 +446,8 @@ def test_search_tree_is_pinned_at_the_budget_boundary(case):
         assert w is None
     else:
         assert w.map == expected
-    assert hom_exists(g, h, budget=nodes - 1) is BUDGET_EXCEEDED
+    if nodes > 1:  # a budget of 1 is the least there is
+        assert hom_exists(g, h, budget=nodes - 1) is BUDGET_EXCEEDED
 
 
 def test_deep_tree_needs_no_recursion():
@@ -481,3 +524,59 @@ def test_tree_hom_matches_the_search_on_large_trees():
 def test_tree_hom_refuses_non_trees(g):
     with pytest.raises(ValueError):
         tree_hom(g, complete(3))
+
+
+def _least_budget(g, h):
+    """The least budget at which hom_exists answers, and the answer: the
+    search's node count (1 when no value is tried), by bisection."""
+    hi = 1
+    while (r := hom_exists(g, h, hi)) is BUDGET_EXCEEDED:
+        hi *= 2
+    lo = hi // 2  # exceeded at lo, answered at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (m := hom_exists(g, h, mid)) is BUDGET_EXCEEDED:
+            lo = mid
+        else:
+            hi, r = mid, m
+    return hi, r
+
+
+def _threshold_graph(rng, n, degree):
+    """round(n * degree / 2) distinct random edges, both arcs of each."""
+    edges = set()
+    while len(edges) < round(n * degree / 2):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return make_digraph(n, [a for u, v in edges for a in ((u, v), (v, u))])
+
+
+def test_complete_target_decisions_are_pinned():
+    """Node counts and answers of seeded searches into K_c: sparse oriented
+    graphs into K3, graphs at the 3-colourability threshold into K3 and K4,
+    and tiny digraphs with loops or isolated vertices into K_0 ... K_5.  The
+    node count is the budget boundary, so every BUDGET_EXCEEDED position is
+    pinned too."""
+    import hashlib
+    import json
+
+    rng = random.Random(61)
+    cases = [
+        (_oriented_graph(rng.randrange(10**6), n, round(n * degree / 2)), 3)
+        for n in (60, 100, 150)
+        for degree in (4.0, 4.3, 4.6)
+    ]
+    for n in (30, 45, 60):
+        g = _threshold_graph(rng, n, 4.7)
+        cases += [(g, 3), (g, 4)]
+    for _ in range(60):
+        g = random_digraph(rng, rng.randint(0, 6), rng.uniform(0.05, 0.5), loop_p=rng.choice([0.0, 0.1]))
+        cases += [(g, c) for c in range(6)]
+    results = []
+    for g, c in cases:
+        nodes, r = _least_budget(g, complete(c))
+        results.append([nodes, None if r is None else list(r.map)])
+    assert sum(nodes > 1 for nodes, _ in results) > 60
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == "aab711c1dcb52e1a15372b9466ce448b2fc493e11ce911a67a27cff5957f8e1f"

@@ -96,3 +96,13 @@ def test_product_factorization(f1, f2):
     assert (combined is not None) == (
         hom_exists(g, f1) is not None and hom_exists(g, f2) is not None
     )
+
+
+@given(digraphs(max_n=7))
+def test_rank_masks_are_the_adjacency_in_degree_order(g):
+    order = g.degree_order
+    assert sorted(order) == list(range(g.n))
+    assert all(g.degree_rank[u] == r for r, u in enumerate(order))
+    for r, u in enumerate(order):
+        adjacent = [s for s, v in enumerate(order) if v != u and ((u, v) in g.arc_set or (v, u) in g.arc_set)]
+        assert g.rank_masks[r] == sum(1 << s for s in adjacent)
