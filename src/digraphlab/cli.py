@@ -220,17 +220,17 @@ def cmd_find_steep_path(args) -> int:
 
 
 def cmd_h_function(args) -> int:
-    result = V.h_function(args.k, args.budget)
-    if result is BUDGET_EXCEEDED:
-        print(json.dumps({"result": "budget_exceeded", "budget": args.budget}))
-        return EXIT_INDETERMINATE
-    if args.json:
-        print(json.dumps(result.to_json_dict(), separators=(",", ":")))
+    report = _run_verifier(V.verify_h_function, args, {})
+    w = report.witnesses
+    if report.verdict == "INDETERMINATE":
+        print(json.dumps({"result": "budget_exceeded", "budget": w["budget"]}))
+    elif args.json:
+        print(json.dumps(w, separators=(",", ":")))
     else:
-        for row in result.rows:
+        for row in w["table"]:
             print(f"{row['path']}  chi(dual)={row['chi']}  dual_vertices={row['dual_vertices']}")
-        print(f"h({result.k}) = {result.value}  argmin {result.argmin.dirs}")
-    return EXIT_PASS
+        print(f"h({w['k']}) = {w['value']}  argmin {w['argmin']}")
+    return _verdict_exit(report.verdict)
 
 
 def cmd_verify_all(args) -> int:

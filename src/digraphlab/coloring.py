@@ -2,12 +2,12 @@
 
 The chromatic number of a digraph is that of its symmetrisation.  One
 DSATUR search on an explicit stack decides k-colourability with
-colour-symmetry breaking; its first descent with n colours never backtracks
-and is the greedy upper bound.  A greedy clique gives the lower bound, and
-one decision runs per candidate k.  The search state is int bitmasks over
-the cached degree order, the saturation counts as bit planes, so a node
-costs a few whole-graph int operations and no loop over neighbours.  An
-optional budget caps the colour assignments of all decisions together.
+colour-symmetry breaking.  A greedy clique gives the lower bound, and one
+decision runs per k counting up from it, until one colours.  The search
+state is int bitmasks over the cached degree order, the saturation counts
+as bit planes, so a node costs a few whole-graph int operations and no loop
+over neighbours.  An optional budget caps the colour assignments of all
+decisions together.
 """
 
 from __future__ import annotations
@@ -63,14 +63,13 @@ def _greedy_clique(g: Digraph, starts: int) -> list[int]:
 
 
 def _decide_colourable(
-    g: Digraph, nb: Sequence[int], k: int, budget: float
+    g: Digraph, k: int, budget: float
 ) -> tuple[Union[list[int], None, _Budget], int]:
     """Backtracking k-colourability decision in dynamic saturation order
     (DSATUR): highest saturation first, then highest degree, then lowest
     index; colours ascending, at most one fresh colour per step to break
-    colour symmetry.  With k = n the first descent never backtracks and is
-    the greedy DSATUR colouring.  ``nb`` is ``g.rank_masks``: every mask
-    holds vertex v at bit ``g.degree_rank[v]``.
+    colour symmetry.  Masks come from ``g.rank_masks``, which hold vertex v
+    at bit ``g.degree_rank[v]``.
 
     The search runs on an explicit stack of frames [vertex bit, next colour
     to try, colours in use before it, vertices its colour newly blocked].
@@ -85,7 +84,7 @@ def _decide_colourable(
     more than ``budget`` colours have been assigned; and the number of
     assignments made.
     """
-    n = g.n
+    n, nb = g.n, g.rank_masks
     blocked = [0] * k
     planes: list[int] = []
     free = (1 << n) - 1  # the uncoloured vertices
@@ -164,31 +163,20 @@ def chromatic_number(
         return ColouringResult(0, (), None)
     if not g.arcs:
         return ColouringResult(1, (0,) * g.n, (0,))
-    nb = g.rank_masks
     left = inf if budget is None else budget
-    greedy, spent = _decide_colourable(g, nb, g.n, left)
-    if greedy is BUDGET_EXCEEDED:
-        return BUDGET_EXCEEDED
-    left -= spent
-    ub = max(greedy) + 1
     clique = sorted(_greedy_clique(g, 24))
-    lb = max(len(clique), 2)
-    best_colouring = greedy
-    for k in range(lb, ub):
+    k = max(len(clique), 2)
+    while True:
         if limit is not None and k > limit:
             return ColouringResult(None, None, None, exceeded_limit=True)
-        attempt, spent = _decide_colourable(g, nb, k, left)
-        if attempt is BUDGET_EXCEEDED:
+        colouring, spent = _decide_colourable(g, k, left)
+        if colouring is BUDGET_EXCEEDED:
             return BUDGET_EXCEEDED
+        if colouring is not None:
+            cert = tuple(clique) if len(clique) == k else None
+            return ColouringResult(k, tuple(colouring), cert)
         left -= spent
-        if attempt is not None:
-            ub = k
-            best_colouring = attempt
-            break
-    if limit is not None and ub > limit:
-        return ColouringResult(None, None, None, exceeded_limit=True)
-    cert = tuple(clique) if len(clique) == ub else None
-    return ColouringResult(ub, tuple(best_colouring), cert)
+        k += 1
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ def arc_consistency(g: Digraph, h: Digraph) -> Optional[list[int]]:
     surviving value at the other endpoint.
     """
     doms = [(1 << h.n) - 1] * g.n
-    if not _Constraints(g, h).fixpoint(doms):
+    if not _fixpoint(g, h, doms):
         return None
     return doms
 
@@ -81,12 +81,11 @@ def tree_hom(t: Digraph, h: Digraph) -> Optional[Hom]:
         raise ValueError("tree_hom needs an oriented tree")
     if h.n == 0:
         return None
-    cons = _Constraints(t, h)
     supports = h.supports
     doms = [(1 << h.n) - 1] * t.n
     for c, p, fwd in reversed(order):
         dc = doms[c]
-        out_sup, in_sup = supports.get(dc) or cons._support(dc)
+        out_sup, in_sup = supports.get(dc) or _support(h, dc)
         doms[p] &= in_sup if fwd else out_sup
         if not doms[p]:
             return None
@@ -103,83 +102,73 @@ def tree_hom(t: Digraph, h: Digraph) -> Optional[Hom]:
     return witness
 
 
-class _Constraints:
-    """The binary constraints of a source g over a target h.
+def _fixpoint(g: Digraph, h: Digraph, doms: list[int]) -> bool:
+    """Filter doms in place to the largest arc-consistent domains of g over
+    h; False when one of them is empty.
 
     The arcs at u are g's ``out_neighbours[u]``/``in_neighbours[u]``, which
-    leave u out; source loops are unary filters applied by ``fixpoint``.
-    Domains are int bitmasks over V(h).  A domain D supports, along an arc,
-    the union of the target masks of D's values; ``h.supports`` memoises
-    that pair of unions (out-arcs, in-arcs) per domain for every search
-    into h.
+    leave u out; a source loop keeps only the target's looped vertices, and
+    a domain that this filter empties is reported at once, before AC-3
+    starts.
     """
+    loop_mask = h.loop_mask
+    for u in g.loops:
+        doms[u] &= loop_mask
+        if not doms[u]:
+            return False
+    return _propagate(g, h, doms, set(range(g.n)), []) and all(doms)
 
-    __slots__ = ("g", "h")
 
-    def __init__(self, g: Digraph, h: Digraph):
-        self.g = g
-        self.h = h
+def _support(h: Digraph, d: int) -> tuple[int, int]:
+    """The unions of h's out-masks and in-masks over the values of domain d:
+    what d supports along an arc; memoised per domain in ``h.supports``."""
+    out_masks, in_masks = h.out_masks, h.in_masks
+    out_sup = in_sup = 0
+    rest = d
+    while rest:
+        low = rest & -rest
+        x = low.bit_length() - 1
+        out_sup |= out_masks[x]
+        in_sup |= in_masks[x]
+        rest ^= low
+    h.supports[d] = pair = (out_sup, in_sup)
+    return pair
 
-    def fixpoint(self, doms: list[int]) -> bool:
-        """Filter doms in place to the largest arc-consistent domains;
-        False when one of them is empty.
 
-        A source loop keeps only the target's looped vertices; a domain that
-        this filter empties is reported at once, before AC-3 starts.
-        """
-        loop_mask = self.h.loop_mask
-        for u in self.g.loops:
-            doms[u] &= loop_mask
-            if not doms[u]:
-                return False
-        return self.propagate(doms, set(range(self.g.n)), []) and all(doms)
+def _propagate(g: Digraph, h: Digraph, doms: list[int], queue: set[int], trail: list[int]) -> bool:
+    """AC-3 of g over h from the vertices in ``queue``, whose domains just
+    changed.
 
-    def _support(self, d: int) -> tuple[int, int]:
-        out_masks, in_masks = self.h.out_masks, self.h.in_masks
-        out_sup = in_sup = 0
-        rest = d
-        while rest:
-            low = rest & -rest
-            x = low.bit_length() - 1
-            out_sup |= out_masks[x]
-            in_sup |= in_masks[x]
-            rest ^= low
-        self.h.supports[d] = pair = (out_sup, in_sup)
-        return pair
-
-    def propagate(self, doms: list[int], queue: set[int], trail: list[int]) -> bool:
-        """AC-3 from the vertices in ``queue``, whose domains just changed.
-
-        Each domain a revision replaces is pushed on ``trail`` as a vertex,
-        old-mask pair.  Returns False on a wipeout, with doms partly filtered.
-        """
-        succ, pred, supports = self.g.out_neighbours, self.g.in_neighbours, self.h.supports
-        push = trail.append
-        while queue:
-            u = queue.pop()
-            du = doms[u]
-            out_sup, in_sup = supports.get(du) or self._support(du)
-            for v in succ[u]:
-                dv = doms[v]
-                kept = dv & out_sup
-                if kept != dv:
-                    if not kept:
-                        return False
-                    push(v)
-                    push(dv)
-                    doms[v] = kept
-                    queue.add(v)
-            for v in pred[u]:
-                dv = doms[v]
-                kept = dv & in_sup
-                if kept != dv:
-                    if not kept:
-                        return False
-                    push(v)
-                    push(dv)
-                    doms[v] = kept
-                    queue.add(v)
-        return True
+    Each domain a revision replaces is pushed on ``trail`` as a vertex,
+    old-mask pair.  Returns False on a wipeout, with doms partly filtered.
+    """
+    succ, pred, supports = g.out_neighbours, g.in_neighbours, h.supports
+    push = trail.append
+    while queue:
+        u = queue.pop()
+        du = doms[u]
+        out_sup, in_sup = supports.get(du) or _support(h, du)
+        for v in succ[u]:
+            dv = doms[v]
+            kept = dv & out_sup
+            if kept != dv:
+                if not kept:
+                    return False
+                push(v)
+                push(dv)
+                doms[v] = kept
+                queue.add(v)
+        for v in pred[u]:
+            dv = doms[v]
+            kept = dv & in_sup
+            if kept != dv:
+                if not kept:
+                    return False
+                push(v)
+                push(dv)
+                doms[v] = kept
+                queue.add(v)
+    return True
 
 
 class _Buckets:
@@ -229,7 +218,7 @@ class _Buckets:
         return self.order[(m & -m).bit_length() - 1]
 
 
-def _mac_search(cons: _Constraints, doms: list[int], budget: int):
+def _mac_search(g: Digraph, h: Digraph, doms: list[int], budget: int):
     """MAC backtracking from arc-consistent doms: smallest domain first (big
     source degree, then low index, breaks ties), values ascending.
 
@@ -237,7 +226,7 @@ def _mac_search(cons: _Constraints, doms: list[int], budget: int):
     more than ``budget`` values have been tried.  A frame is [vertex,
     values not yet tried, trail length before its assignment].
     """
-    buckets = _Buckets(doms, cons.g, cons.h.n)
+    buckets = _Buckets(doms, g, h.n)
     trail: list[int] = []
     frames: list[list[int]] = []
     nodes = 0
@@ -267,7 +256,7 @@ def _mac_search(cons: _Constraints, doms: list[int], budget: int):
                 return BUDGET_EXCEEDED
             trail += (u, doms[u])
             doms[u] = val
-            if cons.propagate(doms, {u}, trail):
+            if _propagate(g, h, doms, {u}, trail):
                 buckets.sync(trail[mark::2])
                 break
 
@@ -436,11 +425,10 @@ def hom_exists(g: Digraph, h: Digraph, budget: int = DEFAULT_BUDGET) -> HomResul
             return None
         assignment = _complete_search(g, h.n, budget)
     else:
-        cons = _Constraints(g, h)
         doms = [(1 << h.n) - 1] * g.n
-        if not cons.fixpoint(doms):
+        if not _fixpoint(g, h, doms):
             return None
-        assignment = _mac_search(cons, doms, budget)
+        assignment = _mac_search(g, h, doms, budget)
     if assignment is None or assignment is BUDGET_EXCEEDED:
         return assignment
     witness = Hom(assignment, g.name, h.name)

@@ -936,8 +936,7 @@ def verify_steep_path(
         found = 0
         while found < consequence_samples:
             g = random_digraph(rng, 8, 0.55)
-            chi = chromatic_number(g).chi
-            if chi is not None and chi >= 4:
+            if chromatic_number(g, limit=3).exceeded_limit:
                 targets.append((f"random[{found}]", g))
                 found += 1
         outcomes = []

@@ -145,6 +145,36 @@ def test_h_function_budget_exhaustion_exits_two(capsys):
     assert err == ""
 
 
+#: `h-function` argv -> (exit code, sha256 of stdout), taken while the
+#: subcommand still called `h_function` directly instead of its verifier.
+H_FUNCTION_CLI_DIGESTS = {
+    "--k 1": (0, "b994ea904cc26d0e0cfa9d7b792a978f54c424df2559ca9ed54f6a56d6cc52d2"),
+    "--k 2": (0, "57eed98f3341d6516a5f3cf4e69265c9fdaba795a4a1f2e9b8b3dc2ffde27941"),
+    "--k 2 --json": (0, "84652effa8508527fdaf98923a7400cfe7cf71b802cd63af97af04071b2f1b11"),
+    "--k 2 --budget 1": (2, "3eb1a2fb19337b7058821c3437cf69f4ee68c3cfcb79e0b985e06a6d85d07863"),
+}
+
+
+@pytest.mark.parametrize("argv", H_FUNCTION_CLI_DIGESTS)
+def test_h_function_cli_bytes_are_pinned(capsys, argv):
+    import hashlib
+
+    code, out, err = run(capsys, "h-function", *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == H_FUNCTION_CLI_DIGESTS[argv]
+    assert err == ""
+
+
+def test_h_function_fails_when_its_verifier_does(capsys, monkeypatch):
+    """The subcommand exits 1 on the verifier's FAIL, here its value <= 3k
+    check, and still prints the table."""
+    from digraphlab import verify as V
+
+    real = V.h_function
+    monkeypatch.setattr(V, "h_function", lambda k, budget: replace(real(k, budget), value=3 * k + 1))
+    code, out, _ = run(capsys, "h-function", "--k", "1")
+    assert code == 1 and "h(1) = 4" in out
+
+
 def test_h_function_k3_colouring_budget_exits_two(capsys):
     code, out, err = run(capsys, "h-function", "--k", "3", "--budget", "20000")
     assert code == 2 and json.loads(out) == {"result": "budget_exceeded", "budget": 20000}

@@ -2,6 +2,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digraphlab import (
     BUDGET_EXCEEDED,
@@ -40,9 +41,29 @@ def test_chi_rejects_loops():
         chromatic_number(make_digraph(1, [(0, 0)]))
 
 
-def test_chi_limit():
+def test_chi_limit(monkeypatch):
+    """A limit below the clique size is reported before any k-decision."""
+    from digraphlab import coloring
+
+    def refuse(*args):
+        raise AssertionError("_decide_colourable called")
+
+    monkeypatch.setattr(coloring, "_decide_colourable", refuse)
     res = chromatic_number(complete(5), limit=3)
     assert res.chi is None and res.exceeded_limit
+
+
+@given(st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_decision_at_the_greedy_colour_count_replays_the_greedy_descent(n, p, seed):
+    """With c the colours DSATUR's k = n descent ends with, the k = c decision
+    never meets a vertex with every colour blocked, so it makes the same
+    choices: the same colouring after the same number of assignments."""
+    from digraphlab.coloring import _decide_colourable
+
+    g = random_digraph(random.Random(seed), n, p)
+    greedy, spent = _decide_colourable(g, g.n, float("inf"))
+    assert _decide_colourable(g, max(greedy) + 1, float("inf")) == (greedy, spent)
 
 
 def test_colouring_witness_is_proper_and_tight():
@@ -207,14 +228,15 @@ def test_threshold_chi_agrees_with_hom_engine():
 
 
 def test_colouring_budget_counts_assignments_over_all_decisions():
-    # the greedy descent takes 60 assignments and the 3-colouring 75 more
-    g = _threshold_graphs(30, 60, 20261)[5]
-    full = chromatic_number(g)
-    assert full.chi == 3
-    assert chromatic_number(g, budget=59) is BUDGET_EXCEEDED
-    assert chromatic_number(g, budget=134) is BUDGET_EXCEEDED
-    assert chromatic_number(g, budget=135) == full
-    assert chromatic_number(g, budget=10**9) == full
+    graphs = _threshold_graphs(30, 60, 20261)
+    # graph 5 has a 3-clique, so only the k = 3 decision runs (75 assignments);
+    # graph 0 refutes k = 3 in 39 assignments and 4-colours in 60 more
+    for g, chi, least in ((graphs[5], 3, 75), (graphs[0], 4, 99)):
+        full = chromatic_number(g)
+        assert full.chi == chi
+        assert chromatic_number(g, budget=least - 1) is BUDGET_EXCEEDED
+        assert chromatic_number(g, budget=least) == full
+        assert chromatic_number(g, budget=10**9) == full
 
 
 def test_colouring_budget_must_be_positive():
@@ -245,9 +267,8 @@ def test_h3_dual_decisions_are_pinned():
     results = []
     for p in path_family(9, 2):
         dual = tree_dual(p.as_digraph())
-        args = dual.rank_masks
         for k in (3, 4, 5, dual.n):
-            res, assigned = _decide_colourable(dual, args, k, 20_000)
+            res, assigned = _decide_colourable(dual, k, 20_000)
             results.append(["budget" if res is BUDGET_EXCEEDED else res, assigned])
     digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
     assert digest == "651f6b235868f820f4ad8164ce135611ebd9b65d72377f9463f32cad334694f1"
