@@ -5,8 +5,8 @@ produce identical output bytes, except for the optional timing field on
 verification reports.
 
 Exit codes: 0 success or PASS, 1 FAIL (counterexample found), 2 indeterminate
-(budget or size guard), 3 usage error, 4 a verify-all job raised (ERROR) and
-none failed.
+(budget or size guard), 3 usage error, 4 a verifier raised (ERROR) and, under
+verify-all, no job failed.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def _emit(args, text: str):
 
 
 def _verdict_exit(verdict: str) -> int:
-    return {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL, "INDETERMINATE": EXIT_INDETERMINATE}[verdict]
+    return {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL, "INDETERMINATE": EXIT_INDETERMINATE, "ERROR": EXIT_ERROR}[verdict]
 
 
 def _report_out(args, report: V.VerifyReport) -> int:
@@ -160,58 +160,63 @@ def cmd_chi(args) -> int:
     return EXIT_PASS
 
 
-#: claim -> (instance verifier, sweep verifier or None, graph parameter ->
-#: the flag naming its file).  The instance verifier runs when one of the
-#: claim's graph files is given or there is no sweep.
-CLAIMS = {
-    "gencol": ("gencol", "gencol-sweep", {"g": "input"}),
-    "adjunction": ("adjunction", "adjunction-sweep", {"g": "source", "h": "target"}),
-    "finobs": ("finobs", "finobs-exhaustive", {"g": "input"}),
-    "minty": ("minty", None, {"g": "input"}),
-    "duality-tree": ("duality-tree", "duality-tree-exhaustive", {"t": "tree"}),
-    "inadprod": ("inadprod", None, {}),
-    "mulpath": ("mulpath", "mulpath-sweep", {"factors": "factors"}),
-    "hompath": ("hompath", "hompath-sweep", {"g": "input"}),
-    "yz-both-ways": ("yz-both-ways", None, {}),
-}
-
-#: Verifier parameter -> (the flag that sets it, conversion of the flag's
-#: value), for parameters not named after their flag.
-_SET_BY = {
-    "max_source_vertices": ("max_vertices", None),
-    "consequence_samples": ("check_consequence", None),
-}
+#: Verifier parameter -> the flag that sets it, for parameters not named
+#: after their flag; `verify.FILE_FLAGS` names the graph files.
+_SET_BY = {"max_source_vertices": "max_vertices", "consequence_samples": "check_consequence"}
 
 
 def cmd_verify(args) -> int:
-    instance, sweep, files = CLAIMS[args.claim]
-    given = any(getattr(args, flag) for flag in files.values())
-    fn = V.REGISTRY[instance if given or sweep is None else sweep]
-    return _report_out(args, _run_verifier(fn, args, files))
+    """Run the registered verifier of args.claim (its sweep when it has one
+    and none of its graph files is given) on the flags the user set.
+
+    A usage error or a size guard propagates to `main`; any other exception
+    becomes an ERROR report, as a job of `verify-all`.
+    """
+    claim, files = args.claim, _file_flags(args.claim)
+    if claim in V.SWEEPS and not any(getattr(args, flag) for flag in files.values()):
+        claim, files = V.SWEEPS[claim], {}
+    given = _given(claim, args, files)
+    kwargs = {name: _load_graphs(value) if name in files else value for name, value in given.items()}
+    try:
+        report = V.REGISTRY[claim](**kwargs)
+    except (ValueError, OSError, SizeLimitExceeded):
+        raise
+    except Exception as e:
+        report = V.VerifyReport(claim, given, V.ERROR, {"error": f"{type(e).__name__}: {e}"})
+    return (_report_out if report.verdict == V.ERROR else args.render)(args, report)
 
 
-def _run_verifier(fn, args, files: dict) -> V.VerifyReport:
-    """fn called with every flag the user set that it takes; `files` maps its
-    graph parameters to the flags naming their files."""
-    set_by = {**_SET_BY, **{name: (flag, _load_graphs) for name, flag in files.items()}}
-    kwargs = {}
-    for name, param in inspect.signature(fn).parameters.items():
-        flag, convert = set_by.get(name, (name, None))
+def _file_flags(claim: str) -> dict:
+    """The claim's graph parameters -> the flags naming their files."""
+    flags = {**V.FILE_FLAGS, **V.CLAIM_FILE_FLAGS.get(claim, {})}
+    return {name: flags[name] for name in inspect.signature(V.REGISTRY[claim]).parameters if name in flags}
+
+
+def _given(claim: str, args, files: dict) -> dict:
+    """The claim's parameters that a flag the user set gives, by the flag's
+    value (a file name for a graph parameter)."""
+    set_by = {**_SET_BY, **files}
+    given = {}
+    for name, param in inspect.signature(V.REGISTRY[claim]).parameters.items():
+        flag = set_by.get(name, name)
         value = getattr(args, flag, None)
         if value is not None:
-            kwargs[name] = convert(value) if convert else value
-        elif param.default is param.empty:
+            given[name] = value
+        elif param.default is not param.empty:
+            continue
+        elif hasattr(args, flag):
             raise ConstructionError(f"--{flag.replace('_', '-')} is required for this claim")
-    return fn(**kwargs)
+        else:
+            raise ConstructionError(f"{claim} needs {name}: {param.annotation}, which no flag sets")
+    return given
 
 
 def _load_graphs(paths):
     return [_load(f) for f in paths] if isinstance(paths, list) else _load(paths)
 
 
-def cmd_find_steep_path(args) -> int:
-    report = _run_verifier(V.verify_steep_path, args, {})
-    if args.json:
+def _steep_path_out(args, report: V.VerifyReport) -> int:
+    if args.json or report.verdict == V.INDETERMINATE:
         return _report_out(args, report)
     print(report.witnesses["path"])
     print(f"arcs: {report.witnesses['n_arcs']}")
@@ -219,10 +224,9 @@ def cmd_find_steep_path(args) -> int:
     return _verdict_exit(report.verdict)
 
 
-def cmd_h_function(args) -> int:
-    report = _run_verifier(V.verify_h_function, args, {})
+def _h_function_out(args, report: V.VerifyReport) -> int:
     w = report.witnesses
-    if report.verdict == "INDETERMINATE":
+    if report.verdict == V.INDETERMINATE:
         print(json.dumps({"result": "budget_exceeded", "budget": w["budget"]}))
     elif args.json:
         print(json.dumps(w, separators=(",", ":")))
@@ -248,12 +252,9 @@ def cmd_verify_all(args) -> int:
             print(f"{r.claim.ljust(width)}  {r.verdict}  ({r.timing_ms:.0f} ms)")
         n_pass = sum(r.verdict == "PASS" for r in reports)
         print(f"{n_pass}/{len(reports)} PASS")
-    if any(r.verdict == "FAIL" for r in reports):
-        return EXIT_FAIL
-    if any(r.verdict == "ERROR" for r in reports):
-        return EXIT_ERROR
-    if any(r.verdict == "INDETERMINATE" for r in reports):
-        return EXIT_INDETERMINATE
+    for verdict in (V.FAIL, V.ERROR, V.INDETERMINATE):
+        if any(r.verdict == verdict for r in reports):
+            return _verdict_exit(verdict)
     return EXIT_PASS
 
 
@@ -262,22 +263,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a graph family or apply a functor")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=[
-            "tournament",
-            "path",
-            "complete",
-            "circular",
-            "iota",
-            "iota-star",
-            "arc-graph",
-            "dual",
-            "product",
-            "path-family",
-        ],
-    )
+    families = ["tournament", "path", "complete", "circular", "iota", "iota-star", "arc-graph", "dual",
+                "product", "path-family"]
+    p.add_argument("--family", required=True, choices=families)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--dirs", help="oriented path pattern over +/- (family=path)")
@@ -301,26 +289,20 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_chi)
 
-    p = sub.add_parser("verify", help="run one claim verifier")
-    p.add_argument("--claim", required=True, choices=list(CLAIMS))
-    p.add_argument("--input")
-    p.add_argument("--source")
-    p.add_argument("--target")
-    p.add_argument("--tree")
+    p = sub.add_parser("verify", help="run one registered claim verifier")
+    p.add_argument("--claim", required=True, choices=list(V.REGISTRY))
+    for flag in ("--input", "--source", "--target", "--tree"):
+        p.add_argument(flag)
     p.add_argument("--factors", nargs="+")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--max-vertices", type=int, dest="max_vertices")
-    p.add_argument("--max-tree-arcs", type=int, dest="max_tree_arcs")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
+    for flag in ("--n", "--k", "--c", "--ell", "--samples", "--max-vertices", "--max-tree-arcs", "--seed", "--budget"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--check-consequence", type=int, metavar="N",
+                   help="also check N random targets of chromatic number >= 4 (claim steep-path)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true", help="include timing_ms in JSON output")
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, render=_report_out)
 
-    p = sub.add_parser("find-steep-path", help="search for a path of given level span")
+    p = sub.add_parser("find-steep-path", help="verify --claim steep-path, printed as the path")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--check-consequence", type=int, default=0, metavar="N",
                    help="also check N random targets of chromatic number >= 4")
@@ -328,13 +310,13 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")
-    p.set_defaults(fn=cmd_find_steep_path)
+    p.set_defaults(fn=cmd_verify, claim="steep-path", render=_steep_path_out)
 
-    p = sub.add_parser("h-function", help="dual chromatic minima over a reversal family")
+    p = sub.add_parser("h-function", help="verify --claim h-function, printed as its table")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_h_function)
+    p.set_defaults(fn=cmd_verify, claim="h-function", render=_h_function_out, timings=False)
 
     p = sub.add_parser("verify-all", help="run a whole verification profile")
     p.add_argument("--profile", choices=["quick", "full"], default="quick")

@@ -103,6 +103,16 @@ Outcome = tuple[dict, str, dict]
 #: Claim name -> verifier, for `run_job` and the `verify` CLI.
 REGISTRY: dict[str, Callable[..., VerifyReport]] = {}
 
+#: Instance claim -> the sweep that `verify --claim` runs when none of the
+#: instance's graph files is given.
+SWEEPS = {
+    "gencol": "gencol-sweep", "adjunction": "adjunction-sweep", "finobs": "finobs-exhaustive",
+    "duality-tree": "duality-tree-exhaustive", "mulpath": "mulpath-sweep", "hompath": "hompath-sweep",
+}
+#: Graph parameter -> the `verify` flag naming its file, and per claim where it differs.
+FILE_FLAGS = {"g": "input", "t": "tree", "factors": "factors"}
+CLAIM_FILE_FLAGS = {"adjunction": {"g": "source", "h": "target"}}
+
 
 def verifier(claim: str) -> Callable[[Callable[..., Outcome]], Callable[..., VerifyReport]]:
     """Register a check under its claim name and make it return a VerifyReport.
@@ -998,8 +1008,8 @@ def h_function(k: int, budget: int = DEFAULT_BUDGET) -> Union[HFunctionResult, _
     Every row's chromatic number is cross-checked by a hom decision into the
     complete graph of that order and a refusal one order below.  Returns
     BUDGET_EXCEEDED when a row's colouring or one of those hom decisions
-    runs out of budget; a decided cross-check that disagrees raises
-    AssertionError.
+    runs out of budget; a decided cross-check that disagrees leaves the
+    row's ``cross_checked`` false, which `verify_h_function` reports as FAIL.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -1029,8 +1039,6 @@ def h_function(k: int, budget: int = DEFAULT_BUDGET) -> Union[HFunctionResult, _
                 "cross_checked": cross,
             }
         )
-        if not cross:
-            raise AssertionError(f"chromatic cross-check failed for {p.dirs}")
         if best is None or res.chi < best[0]:
             best = (res.chi, p)
     assert best is not None

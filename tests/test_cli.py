@@ -5,6 +5,7 @@ import pytest
 
 from digraphlab import from_json, tournament
 from digraphlab.cli import main
+from digraphlab.verify import REGISTRY
 
 
 def run(capsys, *argv):
@@ -173,6 +174,124 @@ def test_h_function_fails_when_its_verifier_does(capsys, monkeypatch):
     monkeypatch.setattr(V, "h_function", lambda k, budget: replace(real(k, budget), value=3 * k + 1))
     code, out, _ = run(capsys, "h-function", "--k", "1")
     assert code == 1 and "h(1) = 4" in out
+
+
+def test_h_function_cross_check_failure_exits_one_with_its_table(capsys, monkeypatch):
+    from digraphlab import verify as V
+
+    real = V.chromatic_number
+    monkeypatch.setattr(V, "chromatic_number", lambda g, **kw: replace(real(g), chi=real(g).chi + 1))
+    assert V.verify_h_function(1).verdict == "FAIL"
+    code, out, err = run(capsys, "h-function", "--k", "1")
+    lines = out.splitlines()
+    assert code == 1 and err == ""
+    assert lines == ["+++  chi(dual)=4  dual_vertices=4", "h(1) = 4  argmin +++"]
+
+
+#: `find-steep-path` argv -> (exit code, sha256 of stdout), taken while the
+#: subcommand had its own runner instead of `verify --claim steep-path`'s.
+FIND_STEEP_PATH_CLI_DIGESTS = {
+    "--ell 3": (0, "989e50c0bb8c1e8d30c8e93e2adaac69f191f9fc9e01c86eb51ba1a8b64248aa"),
+    "--ell 5": (0, "d2bd7383dd1fd40ddbbb5f545ec57896ba1b284005b12bce46a155fa708f68ef"),
+    "--ell 4 --check-consequence 20": (0, "613f45abaee8699723b126f4acbaf50d3bf6d0c8e8d999783fc6a2e5aa0690f2"),
+    "--ell 5 --json": (0, "ece74dc4a80e399c2ff34ea717b5432cb5746ecf94b317e08bc7804562eea8d4"),
+}
+
+
+@pytest.mark.parametrize("argv", FIND_STEEP_PATH_CLI_DIGESTS)
+def test_find_steep_path_cli_bytes_are_pinned(capsys, argv):
+    import hashlib
+
+    code, out, err = run(capsys, "find-steep-path", *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == FIND_STEEP_PATH_CLI_DIGESTS[argv]
+    assert err == ""
+
+
+def test_find_steep_path_out_of_budget_prints_the_report(capsys):
+    code, out, err = run(capsys, "find-steep-path", "--ell", "4", "--check-consequence", "1", "--budget", "1")
+    assert code == 2 and err == ""
+    assert out.splitlines() == ['[INDETERMINATE] steep-path {"ell": 4, "consequence_samples": 1}', "{",
+                                '  "budget": 1', "}"]
+
+
+#: Claims that `verify --claim` runs at their defaults, each checked against
+#: the direct registry call.
+AT_DEFAULTS = ["chick-table", "gencol-tightness", "oracle-equivalence", "width1-completeness", "steep-path"]
+
+
+@pytest.mark.parametrize("claim", list(REGISTRY))
+def test_verify_reaches_every_registered_claim(capsys, claim):
+    from digraphlab.cli import build_parser
+
+    assert build_parser().parse_args(["verify", "--claim", claim]).claim == claim
+    if claim == "steep-consequence":
+        code, out, err = run(capsys, "verify", "--claim", claim)
+        assert code == 3 and out == ""
+        assert err == "error: steep-consequence needs result: SteepPathResult, which no flag sets\n"
+    elif claim in ("chi3k", "h-function"):
+        code, out, err = run(capsys, "verify", "--claim", claim)
+        assert code == 3 and out == "" and err == "error: --k is required for this claim\n"
+    elif claim in AT_DEFAULTS:
+        code, out, _ = run(capsys, "verify", "--claim", claim, "--json")
+        direct = REGISTRY[claim]().to_json_dict(include_timing=False)
+        assert code == 0 and out == json.dumps(direct, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "claim, argv",
+    [
+        ("yz-both-ways", "verify --claim yz-both-ways --n 4 --k 2"),
+        ("gencol-sweep", "verify --claim gencol --samples 2"),
+        ("steep-path", "find-steep-path --ell 3"),
+        ("h-function", "h-function --k 1"),
+    ],
+)
+def test_crashing_verifier_is_error_and_exits_four(capsys, monkeypatch, claim, argv):
+    from functools import wraps
+
+    from digraphlab import verify as V
+
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(V.REGISTRY, claim, wraps(V.REGISTRY[claim])(boom))
+    code, out, err = run(capsys, *argv.split(), "--json")
+    assert code == 4 and err == ""
+    report = json.loads(out)
+    assert report["claim"] == claim and report["verdict"] == "ERROR" and report["seed"] is None
+    assert report["witnesses"] == {"error": "ZeroDivisionError: boom"}
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 4 and out.startswith(f"[ERROR] {claim} ") and "ZeroDivisionError: boom" in out
+
+
+def test_verifier_raising_a_usage_error_or_guard_keeps_its_exit_code(capsys, monkeypatch):
+    from functools import wraps
+
+    from digraphlab import verify as V
+    from digraphlab.core import SizeLimitExceeded
+
+    def refuse(*args, **kwargs):
+        raise SizeLimitExceeded("probe", 9, 4)
+
+    def reject(*args, **kwargs):
+        raise ValueError("bad probe")
+
+    real = V.REGISTRY["yz-both-ways"]
+    monkeypatch.setitem(V.REGISTRY, "yz-both-ways", wraps(real)(refuse))
+    code, out, err = run(capsys, "verify", "--claim", "yz-both-ways", "--n", "4", "--k", "2")
+    assert code == 2 and out == "" and err.startswith("refused: probe")
+    monkeypatch.setitem(V.REGISTRY, "yz-both-ways", wraps(real)(reject))
+    code, out, err = run(capsys, "verify", "--claim", "yz-both-ways", "--n", "4", "--k", "2")
+    assert code == 3 and out == "" and err == "error: bad probe\n"
+
+
+def test_verify_claim_steep_path_is_find_steep_path(capsys):
+    """`find-steep-path` is a spelling of `verify --claim steep-path` whose
+    --check-consequence defaults to 0."""
+    argv = ["--ell", "3", "--check-consequence", "2", "--seed", "4", "--json"]
+    assert run(capsys, "verify", "--claim", "steep-path", *argv) == run(capsys, "find-steep-path", *argv)
+    _, out, _ = run(capsys, "find-steep-path", "--ell", "3", "--json")
+    assert json.loads(out)["params"]["consequence_samples"] == 0
 
 
 def test_h_function_k3_colouring_budget_exits_two(capsys):

@@ -352,12 +352,14 @@ def test_h_function_budget_and_mismatch(monkeypatch):
     from digraphlab import BUDGET_EXCEEDED
 
     assert h_function(2, budget=1) is BUDGET_EXCEEDED
-    # a decided cross-check that disagrees is a bug, not an indeterminate answer
+    # a decided cross-check that disagrees is a failed row, and the verifier
+    # says FAIL, not ERROR or INDETERMINATE
     real = V.chromatic_number
     monkeypatch.setattr(V, "chromatic_number", lambda g, **kw: replace(real(g), chi=real(g).chi + 1))
-    with pytest.raises(AssertionError, match="cross-check"):
-        h_function(1)
-    assert V.run_job(("h", "h-function", {"k": 1})).verdict == V.ERROR
+    res = h_function(1)
+    assert res.rows and not any(row["cross_checked"] for row in res.rows)
+    assert V.verify_h_function(1).verdict == V.FAIL
+    assert V.run_job(("h", "h-function", {"k": 1})).verdict == V.FAIL
 
 
 def test_h_function_k3_runs_out_of_colouring_budget():
