@@ -1,17 +1,20 @@
 """Exact chromatic numbers via branch and bound.
 
 The chromatic number of a digraph is that of its symmetrisation.  One
-DSATUR search on an explicit stack decides k-colourability with
-colour-symmetry breaking.  A greedy clique gives the lower bound, and one
-decision runs per k counting up from it, until one colours.  The search
-state is int bitmasks over the cached degree order, the saturation counts
-as bit planes, so a node costs a few whole-graph int operations and no loop
-over neighbours.  An optional budget caps the colour assignments of all
-decisions together.
+DSATUR search decides k-colourability with colour-symmetry breaking, on an
+explicit stack of per-depth int lists.  A greedy clique gives the lower
+bound; it drops a start or a growing clique as soon as that cannot beat the
+best so far.  One decision runs per k counting up from the clique's size,
+until one colours.  The search state is int bitmasks over the cached degree
+order, the saturation counts as ``k.bit_length()`` bit planes allocated up
+front, so a node costs a few whole-graph int operations, no loop over
+neighbours and no new list.  An optional budget caps the colour assignments
+of all decisions together.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import inf, log2
 from typing import Optional, Sequence, Union
@@ -34,19 +37,31 @@ def check_colouring(g: Digraph, colours: Sequence[int]) -> bool:
     """True iff colours differ across every arc (loops therefore always fail)."""
     if len(colours) != g.n:
         raise ValueError(f"colouring length {len(colours)} != |V| = {g.n}")
-    return all(colours[u] != colours[v] for u, v in g.arcs)
+    for u, v in g.arcs:
+        if colours[u] == colours[v]:
+            return False
+    return True
 
 
 def _greedy_clique(g: Digraph, starts: int) -> list[int]:
     """Best clique grown greedily from each of the first ``starts`` vertices
     of ``g.degree_order``, in growth order: each step adds the candidate
     with the most neighbours among the remaining candidates, the lowest
-    index on ties."""
+    index on ties.
+
+    Only a strictly larger clique replaces the best, so two cut-offs leave
+    the answer as it is.  A start of degree below the best's size cannot
+    beat it, and ``degree_order`` is descending, so the first such start
+    ends the loop.  A clique that, with its last vertex's candidates, is
+    no larger than the best can no longer beat it, so it stops growing.
+    """
     masks = g.neighbour_masks
     best: list[int] = []
     for start in g.degree_order[:starts]:
-        clique = [start]
         common = masks[start]
+        if common.bit_count() < len(best):
+            break
+        clique = [start]
         while common:
             most, rest = -1, common
             while rest:
@@ -56,6 +71,8 @@ def _greedy_clique(g: Digraph, starts: int) -> list[int]:
                 if d > most:
                     u, most = v, d
             clique.append(u)
+            if len(clique) + most <= len(best):
+                break
             common &= masks[u]
         if len(clique) > len(best):
             best = clique
@@ -71,73 +88,90 @@ def _decide_colourable(
     colour symmetry.  Masks come from ``g.rank_masks``, which hold vertex v
     at bit ``g.degree_rank[v]``.
 
-    The search runs on an explicit stack of frames [vertex bit, next colour
-    to try, colours in use before it, vertices its colour newly blocked].
-    ``blocked[c]`` holds the vertices with a neighbour coloured c, and
-    ``planes[j]`` those whose saturation count has bit j set.  Narrowing
-    the uncoloured vertices plane by plane from the top leaves those of
-    highest saturation, whose lowest set bit is the DSATUR choice.  Setting
-    or undoing a colour adds or takes one along a carry chain: O(log k)
-    whole-graph int operations per node, none per neighbour.
+    The search runs on an explicit stack of four int lists indexed by
+    depth: the rank of the vertex coloured there, the next colour to try
+    for it, the colours in use before it, and the vertices its colour newly
+    blocked.  ``blocked[c]`` holds the vertices with a neighbour coloured
+    c, and ``planes`` holds one plane per bit of the saturation counts,
+    highest bit first: the vertices whose count has that bit set.  A count
+    never exceeds k, so its ``k.bit_length()`` planes are allocated up
+    front.  Narrowing the uncoloured vertices plane by plane from the top
+    leaves those of highest saturation, whose lowest set bit is the DSATUR
+    choice.  Setting or undoing a colour adds or takes one along a carry or
+    borrow chain: O(log k) whole-graph int operations per node, none per
+    neighbour.
 
     Returns the colouring, None when there is none, or BUDGET_EXCEEDED once
     more than ``budget`` colours have been assigned; and the number of
     assignments made.
     """
     n, nb = g.n, g.rank_masks
+    # an int compares faster than inf, and no search gets to sys.maxsize
+    budget = min(budget, sys.maxsize)
     blocked = [0] * k
-    planes: list[int] = []
+    planes = [0] * k.bit_length()
+    units = len(planes) - 1  # the plane of bit 0, where a chain starts
+    ranks, nexts, useds, newlys = [0] * n, [0] * n, [0] * n, [0] * n
     free = (1 << n) - 1  # the uncoloured vertices
-    frames: list[list] = []
-    used = assigned = 0
-    while len(frames) < n:
+    depth = used = assigned = 0
+    limit = min(1, k)  # colours open to a vertex: those in use and one fresh
+    while depth < n:
         pick = free
-        for plane in reversed(planes):
+        for plane in planes:
             top = pick & plane
             if top:
                 pick = top
         low = pick & -pick
         free ^= low
-        frame = [low, 0, used, 0]
-        frames.append(frame)
+        rank = low.bit_length() - 1
         c = 0
         while True:
-            limit = used + 1 if used < k else k
             while c < limit and blocked[c] & low:
                 c += 1
             if c < limit:
                 break
-            # no colour left: pop, then undo the colour below and try its next
+            # no colour left: give the vertex back, undo the colour below
+            # and try its next
             free |= low
-            frames.pop()
-            if not frames:
+            if not depth:
                 return None, assigned
-            frame = frames[-1]
-            low, c, used, newly = frame
+            depth -= 1
+            rank, c = ranks[depth], nexts[depth]
+            low = 1 << rank
+            if used != useds[depth]:
+                used = useds[depth]
+                limit = used + 1 if used < k else k
+            newly = newlys[depth]
             blocked[c - 1] ^= newly
-            for j, plane in enumerate(planes):
+            j = units
+            while newly:
+                plane = planes[j]
                 planes[j] = plane ^ newly
                 newly &= ~plane
-                if not newly:
-                    break
+                j -= 1
         assigned += 1
         if assigned > budget:
             return BUDGET_EXCEEDED, assigned
-        newly = carry = nb[low.bit_length() - 1] & ~blocked[c]
+        newly = carry = nb[rank] & ~blocked[c]
         blocked[c] |= carry
-        for j, plane in enumerate(planes):
+        j = units
+        while carry:
+            plane = planes[j]
             planes[j] = plane ^ carry
             carry &= plane
-            if not carry:
-                break
-        else:
-            planes.append(carry)
-        frame[1], frame[3] = c + 1, newly
+            j -= 1
+        ranks[depth] = rank
+        nexts[depth] = c + 1
+        useds[depth] = used
+        newlys[depth] = newly
+        depth += 1
         if c == used:
             used += 1
+            limit = used + 1 if used < k else k
     colours = [0] * n
-    for low, c, _, _ in frames:
-        colours[g.degree_order[low.bit_length() - 1]] = c - 1
+    order = g.degree_order
+    for rank, c in zip(ranks, nexts):
+        colours[order[rank]] = c - 1
     return colours, assigned
 
 

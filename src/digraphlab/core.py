@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 
@@ -215,10 +216,11 @@ def make_digraph(
 ) -> Digraph:
     """Build a digraph, deduplicating and sorting the arc list.
 
-    Loops (u, u) are allowed; endpoints outside 0..n-1 are a construction
-    error.  More than DEFAULT_VERTEX_LIMIT vertices is SizeLimitExceeded,
-    raised before ``arcs`` is read, so a builder that passes a generator
-    builds no arc of a digraph it is refused.
+    Loops (u, u) are allowed.  An endpoint that is not an integer (by
+    ``operator.index``: not 1.5, "0" or None) or lies outside 0..n-1 is a
+    construction error.  More than DEFAULT_VERTEX_LIMIT vertices is
+    SizeLimitExceeded, raised before ``arcs`` is read, so a builder that
+    passes a generator builds no arc of a digraph it is refused.
     """
     if n < 0:
         raise ConstructionError(f"vertex count must be >= 0, got {n}")
@@ -226,9 +228,14 @@ def make_digraph(
         raise SizeLimitExceeded("make_digraph", n, DEFAULT_VERTEX_LIMIT)
     seen = set()
     for u, v in arcs:
+        try:
+            u, v = index(u), index(v)
+        except TypeError:
+            msg = f"arc ({u!r},{v!r}) has an endpoint that is not an integer"
+            raise ConstructionError(msg) from None
         if not (0 <= u < n and 0 <= v < n):
             raise ConstructionError(f"arc ({u},{v}) has endpoint outside 0..{n - 1}")
-        seen.add((int(u), int(v)))
+        seen.add((u, v))
     tab = tuple(labels) if labels is not None else None
     if tab is not None and len(tab) != n:
         raise ConstructionError(f"label table has {len(tab)} entries for {n} vertices")

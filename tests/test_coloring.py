@@ -272,3 +272,58 @@ def test_h3_dual_decisions_are_pinned():
             results.append(["budget" if res is BUDGET_EXCEEDED else res, assigned])
     digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
     assert digest == "651f6b235868f820f4ad8164ce135611ebd9b65d72377f9463f32cad334694f1"
+
+
+def test_threshold_decisions_are_pinned():
+    """Budgeted k = 3 and 4 decisions on 80-vertex threshold graphs, the
+    size chi-sparse colours: refutations, colourings and budget cut-offs,
+    each with its assignment count."""
+    import hashlib
+    import json
+
+    from digraphlab.coloring import _decide_colourable
+
+    results = []
+    for g in _threshold_graphs(40, 80, 20263):
+        for k in (3, 4):
+            for budget in (float("inf"), 60, 150):
+                res, assigned = _decide_colourable(g, k, budget)
+                results.append(["budget" if res is BUDGET_EXCEEDED else res, assigned])
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == "7dd48888703e7eb6fee0b19736629c4a0085173419d81b0f077524bff3debd5b"
+
+
+def _greedy_clique_without_exits(g, starts):
+    """The greedy clique grown in full from each start: the reference for
+    the library's version, whose early exits must not change the clique."""
+    masks = g.neighbour_masks
+    best = []
+    for start in g.degree_order[:starts]:
+        clique = [start]
+        common = masks[start]
+        while common:
+            most, rest = -1, common
+            while rest:
+                v = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                d = (masks[v] & common).bit_count()
+                if d > most:
+                    u, most = v, d
+            clique.append(u)
+            common &= masks[u]
+        if len(clique) > len(best):
+            best = clique
+    return best
+
+
+def test_greedy_clique_exits_keep_the_clique():
+    from digraphlab.coloring import _greedy_clique
+
+    rng = random.Random(20264)
+    graphs = [random_digraph(rng, rng.randint(1, 40), rng.uniform(0.02, 0.9)) for _ in range(200)]
+    graphs += _threshold_graphs(30, 60, 20261)
+    graphs += [complete(n) for n in range(1, 30)]
+    graphs += [interleaved_adjoint(tournament(n), k) for k in range(1, 4) for n in range(2 * k, 9)]
+    for g in graphs:
+        for starts in (8, 24):
+            assert _greedy_clique(g, starts) == _greedy_clique_without_exits(g, starts)

@@ -47,6 +47,22 @@ def test_make_digraph_rejects_bad_endpoint():
         make_digraph(1, [(-1, 0)])
 
 
+@pytest.mark.parametrize("arc", [(0, 1.5), (1.0, 2), ("0", 1), (0, None)])
+def test_make_digraph_rejects_endpoints_that_are_not_integers(arc):
+    with pytest.raises(ConstructionError, match="not an integer"):
+        make_digraph(3, [arc])
+
+
+def test_make_digraph_stores_integer_like_endpoints_as_int():
+    class Two:
+        def __index__(self):
+            return 2
+
+    g = make_digraph(3, [(Two(), True)])
+    assert g.arcs == ((2, 1),)
+    assert all(type(x) is int for x in g.arcs[0])
+
+
 def test_loops_allowed():
     g = make_digraph(1, [(0, 0)])
     assert g.has_loop()
