@@ -238,7 +238,7 @@ def _h_function_out(args, report: V.VerifyReport) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    reports = V.run_profile(args.profile, args.workers)
+    reports = V.run_profile(args.profile)
     if args.json:
         print(
             json.dumps(
@@ -319,8 +319,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_verify, claim="h-function", render=_h_function_out, timings=False)
 
     p = sub.add_parser("verify-all", help="run a whole verification profile")
-    p.add_argument("--profile", choices=["quick", "full"], default="quick")
-    p.add_argument("--workers", type=int, help="worker processes (default: all cores)")
+    p.add_argument("--profile", choices=list(V.PROFILES), default="quick")
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=cmd_verify_all)

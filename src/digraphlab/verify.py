@@ -157,13 +157,34 @@ def _sweep(
     checked = 0
     for i, rep in enumerate(reports):
         if rep.verdict == INDETERMINATE:
-            if not failures:
-                return INDETERMINATE, rep.witnesses
-            return FAIL, {"checked": checked, "failures": failures, "stopped_by": rep.witnesses}
+            return _stopped(checked, failures, rep.witnesses)
         checked += sizes[i] if sizes is not None else 1
         if rep.verdict == FAIL:
             failures.append({"index": i, "params": rep.params, "witnesses": rep.witnesses})
     return (FAIL if failures else PASS), {"checked": checked, "failures": failures}
+
+
+def _stopped(checked: int, failures: list, stopped_by: dict) -> tuple[str, dict]:
+    """Verdict and witnesses of sub-checks stopped by an undecided one: FAIL
+    keeps the failures found before the stop, else INDETERMINATE."""
+    if not failures:
+        return INDETERMINATE, stopped_by
+    return FAIL, {"checked": checked, "failures": failures, "stopped_by": stopped_by}
+
+
+def _first_path_into(
+    paths: Iterable[tuple[OrientedPath, Digraph]], g: Digraph, budget: int
+) -> Union[tuple[OrientedPath, Hom], None, _Budget]:
+    """The first (path, hom) of ``paths``, pairs of a path and its digraph,
+    whose path maps into g; None when none does, BUDGET_EXCEEDED when a
+    search runs out before one is found."""
+    for p, pd in paths:
+        w = hom_exists(pd, g, budget)
+        if w is BUDGET_EXCEEDED:
+            return w
+        if w is not None:
+            return p, w
+    return None
 
 
 def _hom_json(h: Hom) -> list[int]:
@@ -500,14 +521,9 @@ def _finobs_check(
     no_hom_to_adjoint = r is None
 
     forward, members = paths
-    found = None
-    for p, pd in members:
-        w = hom_exists(pd, g, budget)
-        if w is BUDGET_EXCEEDED:
-            return params, INDETERMINATE, {"budget": budget}
-        if w is not None:
-            found = (p, w)
-            break
+    found = _first_path_into(members, g, budget)
+    if found is BUDGET_EXCEEDED:
+        return params, INDETERMINATE, {"budget": budget}
     some_path_maps = found is not None
 
     witnesses: dict = {
@@ -573,13 +589,13 @@ def verify_minty(g: Digraph, c: int, k: int, budget: int = DEFAULT_BUDGET) -> Ou
         raise ValueError(f"hypothesis needs chi(g) > c, got chi={chi}, c={c}")
     params = {"graph": to_json_dict(g), "c": c, "k": k, "chi": chi}
     family = path_family(c * k, k - 1)
-    for p in family.members:
-        w = hom_exists(p.as_digraph(), g, budget)
-        if w is BUDGET_EXCEEDED:
-            return params, INDETERMINATE, {"budget": budget}
-        if w is not None:
-            return params, PASS, {"path": p.dirs, "path_hom": _hom_json(w)}
-    return params, FAIL, {"family_size": len(family)}
+    found = _first_path_into(((p, p.as_digraph()) for p in family.members), g, budget)
+    if found is BUDGET_EXCEEDED:
+        return params, INDETERMINATE, {"budget": budget}
+    if found is None:
+        return params, FAIL, {"family_size": len(family)}
+    p, w = found
+    return params, PASS, {"path": p.dirs, "path_hom": _hom_json(w)}
 
 
 # --- tree duality -------------------------------------------------------------
@@ -595,7 +611,7 @@ def _duality_check(t: Digraph, classes: Iterable[tuple[Digraph, int]], budget: i
     for g, size in classes:
         a = hom_exists(g, dual, budget)
         if a is BUDGET_EXCEEDED:
-            return params, INDETERMINATE, {"budget": budget}
+            return params, *_stopped(checked, failures, {"budget": budget})
         b = tree_hom(t, g)
         checked += size
         if (a is not None) != (b is None):
@@ -662,12 +678,11 @@ def verify_inadprod(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Outcome:
     """
     params = {"n": n, "k": k}
     iota = interleaved_adjoint(tournament(n), k)
-    family = path_family(n, k - 1)
-    duals = [tree_dual(p.as_digraph()) for p in family.members]
+    members = [(p, p.as_digraph()) for p in path_family(n, k - 1).members]
 
     into = []
-    for p, dual in zip(family.members, duals):
-        w = hom_exists(iota, dual, budget)
+    for p, pd in members:
+        w = hom_exists(iota, tree_dual(pd), budget)
         if w is BUDGET_EXCEEDED:
             return params, INDETERMINATE, {"budget": budget}
         if w is None:
@@ -675,19 +690,14 @@ def verify_inadprod(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Outcome:
         into.append({"factor": p.dirs, "hom": _hom_json(w)})
 
     covers = []
-    for q in family.members:
-        qd = q.as_digraph()
-        hit = None
-        for p in family.members:
-            w = hom_exists(p.as_digraph(), qd, budget)
-            if w is BUDGET_EXCEEDED:
-                return params, INDETERMINATE, {"budget": budget}
-            if w is not None:
-                hit = {"obstruction": q.dirs, "mapped_path": p.dirs, "hom": _hom_json(w)}
-                break
+    for q, qd in members:
+        hit = _first_path_into(members, qd, budget)
+        if hit is BUDGET_EXCEEDED:
+            return params, INDETERMINATE, {"budget": budget}
         if hit is None:
             return params, FAIL, {"uncovered": q.dirs}
-        covers.append(hit)
+        p, w = hit
+        covers.append({"obstruction": q.dirs, "mapped_path": p.dirs, "hom": _hom_json(w)})
     return params, PASS, {"into_factors": into, "obstruction_covers": covers}
 
 
@@ -1005,11 +1015,12 @@ class HFunctionResult:
 def h_function(k: int, budget: int = DEFAULT_BUDGET) -> Union[HFunctionResult, _Budget]:
     """Minimum dual chromatic number over the (3k, k-1)-reversal family.
 
-    Every row's chromatic number is cross-checked by a hom decision into the
-    complete graph of that order and a refusal one order below.  Returns
-    BUDGET_EXCEEDED when a row's colouring or one of those hom decisions
-    runs out of budget; a decided cross-check that disagrees leaves the
-    row's ``cross_checked`` false, which `verify_h_function` reports as FAIL.
+    Every row's chromatic number chi is cross-checked: its colouring passes
+    ``check_colouring`` with colours below chi, and a hom decision refuses
+    the complete graph of order chi - 1.  Returns BUDGET_EXCEEDED when a
+    row's colouring or that decision runs out of budget; a cross-check that
+    fails leaves the row's ``cross_checked`` false, which
+    `verify_h_function` reports as FAIL.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -1024,13 +1035,10 @@ def h_function(k: int, budget: int = DEFAULT_BUDGET) -> Union[HFunctionResult, _
         if res is BUDGET_EXCEEDED:
             return BUDGET_EXCEEDED
         assert res.chi is not None
-        up = hom_exists(dual, complete(res.chi), budget)
-        down = (
-            hom_exists(dual, complete(res.chi - 1), budget) if res.chi >= 1 else None
-        )
-        if up is BUDGET_EXCEEDED or down is BUDGET_EXCEEDED:
+        down = hom_exists(dual, complete(res.chi - 1), budget) if res.chi >= 1 else None
+        if down is BUDGET_EXCEEDED:
             return BUDGET_EXCEEDED
-        cross = isinstance(up, Hom) and down is None
+        cross = check_colouring(dual, res.colouring) and max(res.colouring, default=-1) < res.chi and down is None
         rows.append(
             {
                 "path": p.dirs,
@@ -1145,7 +1153,7 @@ def verify_oracle_equivalence(
         h = random_digraph(rng, rng.randint(0, max_vertices), rng.uniform(0.15, 0.8), loop_p=0.1)
         fast = hom_exists(g, h, budget)
         if fast is BUDGET_EXCEEDED:
-            return params, INDETERMINATE, {"budget": budget}
+            return params, *_stopped(i, failures, {"budget": budget})
         slow = brute_force_hom(g, h)
         if (fast is not None) != (slow is not None):
             failures.append({"index": i, "g": to_json_dict(g), "h": to_json_dict(h)})
@@ -1195,7 +1203,7 @@ def verify_width1_completeness(
             ac_says_yes = arc_consistency(g, target) is not None
             truth = hom_exists(g, target, budget)
             if truth is BUDGET_EXCEEDED:
-                return params, INDETERMINATE, {"budget": budget}
+                return params, *_stopped(checked, failures, {"budget": budget})
             checked += 1
             agree = ac_says_yes == (truth is not None)
             if agree and g.n > 0 and target.n > 0 and target.n**g.n <= brute_cap:
@@ -1277,20 +1285,6 @@ def run_job(spec: tuple[str, str, dict]) -> VerifyReport:
     return replace(report, claim=job_id)
 
 
-def run_profile(profile: str, workers: Optional[int] = None) -> list[VerifyReport]:
-    """Run a whole profile, fanning out to a process pool when workers > 1.
-
-    Reports come back in profile order regardless of completion order.
-    """
-    jobs = PROFILES[profile]
-    if workers is None:
-        import os
-
-        workers = os.cpu_count() or 1
-    workers = min(workers, len(jobs))
-    if workers <= 1:
-        return [run_job(spec) for spec in jobs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_job, jobs))
+def run_profile(profile: str) -> list[VerifyReport]:
+    """Run a whole profile in process, its reports in profile order."""
+    return [run_job(spec) for spec in PROFILES[profile]]

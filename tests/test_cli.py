@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -425,7 +426,7 @@ def test_verify_budget_exhaustion_exits_two(capsys, claim):
 
 
 def test_verify_all_quick(capsys):
-    code, out, _ = run(capsys, "verify-all", "--profile", "quick", "--workers", "1")
+    code, out, _ = run(capsys, "verify-all", "--profile", "quick")
     assert code == 0
     lines = [l for l in out.splitlines() if l]
     assert lines[-1].endswith("PASS")
@@ -433,9 +434,23 @@ def test_verify_all_quick(capsys):
 
 
 def test_verify_all_json(capsys):
-    code, out, _ = run(capsys, "verify-all", "--profile", "quick", "--workers", "1", "--json")
+    code, out, _ = run(capsys, "verify-all", "--profile", "quick", "--json")
     reports = json.loads(out)
     assert code == 0 and all(r["verdict"] == "PASS" for r in reports)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3d5f6522eebbdeb62c25909effc8f9b45bf7db243854d8f98d951713244b1c93"
+    )
+
+
+def test_verify_all_profiles_come_from_the_registry(capsys, monkeypatch):
+    from digraphlab import verify as V
+
+    monkeypatch.setitem(V.PROFILES, "tiny", V.QUICK_PROFILE[:2])
+    code, out, _ = run(capsys, "verify-all", "--profile", "tiny", "--json")
+    assert code == 0 and [r["claim"] for r in json.loads(out)] == ["chick-table", "chi3k[k=1]"]
+    with pytest.raises(SystemExit) as e:
+        main(["verify-all", "--workers", "2"])
+    assert e.value.code == 3
 
 
 def test_crashed_job_is_error_and_exits_four(capsys, monkeypatch):
@@ -447,7 +462,7 @@ def test_crashed_job_is_error_and_exits_four(capsys, monkeypatch):
     jobs = V.QUICK_PROFILE[:4]  # chick-table, chi3k[k=1], chi3k[k=2], gencol-sweep
     monkeypatch.setitem(V.PROFILES, "quick", jobs)
     monkeypatch.setitem(V.REGISTRY, "chi3k", boom)
-    code, out, _ = run(capsys, "verify-all", "--profile", "quick", "--workers", "1", "--json")
+    code, out, _ = run(capsys, "verify-all", "--profile", "quick", "--json")
     reports = json.loads(out)
     assert code == 4
     assert [r["verdict"] for r in reports] == ["PASS", "ERROR", "ERROR", "PASS"]
@@ -462,7 +477,7 @@ def test_crashed_job_is_error_and_exits_four(capsys, monkeypatch):
     # A FAIL still decides the exit code.
     fail = V.REGISTRY["chick-table"](max_k=1, max_n=3)
     monkeypatch.setitem(V.REGISTRY, "chick-table", lambda **kwargs: replace(fail, verdict=V.FAIL))
-    code, _, _ = run(capsys, "verify-all", "--profile", "quick", "--workers", "1")
+    code, _, _ = run(capsys, "verify-all", "--profile", "quick")
     assert code == 1
 
 

@@ -491,38 +491,9 @@ def test_finobs_refuses_arguments_naming_the_given_k(n, k):
 
 
 def test_run_profile_quick_inline():
-    reports = V.run_profile("quick", workers=1)
+    reports = V.run_profile("quick")
     assert [r.claim for r in reports] == [job[0] for job in V.QUICK_PROFILE]
     assert all(r.verdict == V.PASS for r in reports)
-
-
-def test_run_profile_starts_no_more_workers_than_jobs(monkeypatch):
-    import concurrent.futures
-
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return []
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    V.run_profile("quick", workers=10_000)
-    assert started == [len(V.PROFILES["quick"])] == [18]
-
-
-def test_run_profile_parallel_matches_inline():
-    inline = V.run_profile("quick", workers=1)
-    pooled = V.run_profile("quick", workers=2)
-    assert [(r.claim, r.verdict) for r in inline] == [(r.claim, r.verdict) for r in pooled]
 
 
 def test_pass_witnesses_revalidate_independently():
@@ -589,6 +560,7 @@ def test_equivalence_verifiers_agree_with_enumeration():
         (V.verify_oracle_equivalence, {}),
         (V.verify_duality_tree_exhaustive, {"max_tree_arcs": 2, "max_source_vertices": 2}),
         (V.verify_inadprod, {"n": 4, "k": 2}),
+        (V.verify_minty, {"g": complete(4), "c": 3, "k": 2}),
         (V.verify_yz, {"n": 4, "k": 2}),
         (V.verify_steep_path, {"ell": 3, "consequence_samples": 3}),
         (V.verify_width1_completeness, {"random_sources": 5}),
@@ -621,3 +593,32 @@ def test_failure_before_an_indeterminate_subcheck_is_kept(monkeypatch):
     assert rep.verdict == V.FAIL
     assert rep.witnesses["checked"] == 4 and rep.witnesses["stopped_by"] == {"budget": 1}
     assert [f["index"] for f in rep.witnesses["failures"]] == [1]
+
+
+@pytest.mark.parametrize(
+    "verifier, kwargs",
+    [
+        (V.verify_duality_tree, {"t": path(2), "sources": [path(1), path(2), complete(3), tournament(3)]}),
+        (V.verify_oracle_equivalence, {"samples": 10}),
+        (V.verify_width1_completeness, {"random_sources": 5}),
+    ],
+)
+def test_failure_before_an_exhausted_search_is_kept(monkeypatch, verifier, kwargs):
+    # the first search answers wrongly and the third runs out of budget
+    real = V.hom_exists
+    calls = []
+
+    def flaky(g, h, *args):
+        calls.append(1)
+        if len(calls) == 3:
+            return V.BUDGET_EXCEEDED
+        found = real(g, h, *args)
+        if len(calls) == 1:
+            return None if found is not None else Hom((0,) * g.n)
+        return found
+
+    monkeypatch.setattr(V, "hom_exists", flaky)
+    rep = verifier(**kwargs)
+    assert rep.verdict == V.FAIL
+    assert rep.witnesses["checked"] == 2 and len(rep.witnesses["failures"]) == 1
+    assert rep.witnesses["stopped_by"] == {"budget": V.DEFAULT_BUDGET}
