@@ -560,11 +560,11 @@ def test_equivalence_verifiers_agree_with_enumeration():
         (V.verify_oracle_equivalence, {}),
         (V.verify_duality_tree_exhaustive, {"max_tree_arcs": 2, "max_source_vertices": 2}),
         (V.verify_inadprod, {"n": 4, "k": 2}),
-        (V.verify_minty, {"g": complete(4), "c": 3, "k": 2}),
         (V.verify_yz, {"n": 4, "k": 2}),
         (V.verify_steep_path, {"ell": 3, "consequence_samples": 3}),
         (V.verify_width1_completeness, {"random_sources": 5}),
         (V.verify_h_function, {"k": 2}),
+        (V.verify_minty, {"g": complete(4), "c": 3, "k": 2}),
     ],
 )
 def test_exhausted_budget_is_indeterminate(verifier, kwargs):
