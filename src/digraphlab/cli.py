@@ -216,7 +216,7 @@ def _load_graphs(paths):
 
 
 def _steep_path_out(args, report: V.VerifyReport) -> int:
-    if args.json or report.verdict == V.INDETERMINATE:
+    if args.json:
         return _report_out(args, report)
     print(report.witnesses["path"])
     print(f"arcs: {report.witnesses['n_arcs']}")
@@ -307,7 +307,6 @@ def build_parser() -> _Parser:
     p.add_argument("--check-consequence", type=int, default=0, metavar="N",
                    help="also check N random targets of chromatic number >= 4")
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=cmd_verify, claim="steep-path", render=_steep_path_out)

@@ -461,7 +461,7 @@ def hom_equivalent(g: Digraph, h: Digraph, budget: int = DEFAULT_BUDGET) -> Equi
     return EquivalenceResult(True, forward=fwd, backward=bwd)
 
 
-def brute_force_hom(g: Digraph, h: Digraph, limit: int = BRUTE_FORCE_LIMIT) -> Optional[Hom]:
+def brute_force_hom(g: Digraph, h: Digraph) -> Optional[Hom]:
     """Ground-truth oracle: the lexicographically least hom, or None.
 
     Enumerates the maps in lexicographic order, placing the source vertices in
@@ -473,11 +473,11 @@ def brute_force_hom(g: Digraph, h: Digraph, limit: int = BRUTE_FORCE_LIMIT) -> O
     propagated to unplaced vertices, so the oracle shares no reasoning with
     the search engine.  The enumeration runs on an explicit stack (no
     recursion, whatever the source size).  Raises SizeLimitExceeded when the
-    full space |V(H)|^|V(G)| exceeds ``limit``.
+    full space |V(H)|^|V(G)| exceeds BRUTE_FORCE_LIMIT.
     """
     space = h.n**g.n if g.n else 1
-    if space > limit:
-        raise SizeLimitExceeded("brute_force_hom", space, limit)
+    if space > BRUTE_FORCE_LIMIT:
+        raise SizeLimitExceeded("brute_force_hom", space, BRUTE_FORCE_LIMIT)
     n = g.n
     if n == 0:
         return Hom((), g.name, h.name)

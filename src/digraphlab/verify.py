@@ -70,6 +70,10 @@ MAX_H_K = 3
 #: give 33,554,432 labelled digraphs in 291,968 classes.
 MAX_SOURCE_VERTICES = 4
 
+#: Largest map space |V(target)|^|V(g)| that width1-completeness re-checks
+#: by plain enumeration.
+WIDTH1_BRUTE_CAP = 50_000
+
 
 @dataclass
 class VerifyReport:
@@ -921,14 +925,10 @@ def find_steep_path(ell: int) -> SteepPathResult:
 
 
 @verifier("steep-path")
-def verify_steep_path(
-    ell: int = 4,
-    consequence_samples: int = 20,
-    seed: int = 20107,
-    budget: int = DEFAULT_BUDGET,
-) -> Outcome:
+def verify_steep_path(ell: int = 4, consequence_samples: int = 20, seed: int = 20107) -> Outcome:
     """Find the steep path, validate its family homs and span, and check it
-    maps into sample digraphs of chromatic number >= 4."""
+    maps into sample digraphs of chromatic number >= 4.  Every hom question
+    has the path as its source, so ``tree_hom`` decides it with no budget."""
     _count("consequence_samples", consequence_samples)
     params = {"ell": ell, "consequence_samples": consequence_samples}
     result = find_steep_path(ell)
@@ -941,7 +941,7 @@ def verify_steep_path(
             validate_hom(h, qd, p.as_digraph())
             for h, p in zip(result.factor_homs, result.family)
         ),
-        "no_hom_to_shorter_path": hom_exists(qd, path(ell - 1), budget) is None,
+        "no_hom_to_shorter_path": tree_hom(qd, path(ell - 1)) is None,
     }
     witnesses: dict = {
         "path": q.dirs,
@@ -959,23 +959,17 @@ def verify_steep_path(
             if chromatic_number(g, limit=3).exceeded_limit:
                 targets.append((f"random[{found}]", g))
                 found += 1
-        outcomes = []
-        for name, g in targets:
-            w = hom_exists(qd, g, budget)
-            if w is BUDGET_EXCEEDED:
-                return params, INDETERMINATE, {"budget": budget}
-            outcomes.append({"target": name, "hom_found": w is not None})
-            ok = ok and w is not None
+        outcomes = [{"target": name, "hom_found": tree_hom(qd, g) is not None} for name, g in targets]
+        ok = ok and all(o["hom_found"] for o in outcomes)
         witnesses["consequence"] = outcomes
     return params, PASS if ok else FAIL, witnesses
 
 
 @verifier("steep-consequence")
-def verify_steep_consequence(
-    result: SteepPathResult, graphs: Sequence[Digraph], budget: int = DEFAULT_BUDGET
-) -> Outcome:
+def verify_steep_consequence(result: SteepPathResult, graphs: Sequence[Digraph]) -> Outcome:
     """The steep path maps into every supplied digraph of chromatic number
-    >= 4 (lower-chromatic inputs are skipped: the claim says nothing there)."""
+    >= 4 (lower-chromatic inputs are skipped: the claim says nothing there),
+    decided by ``tree_hom``."""
     qd = result.path.as_digraph()
     params = {"ell": result.ell, "graphs": len(graphs)}
     outcomes = []
@@ -985,11 +979,9 @@ def verify_steep_consequence(
         if chi is None or chi < 4:
             outcomes.append({"graph": to_json_dict(g), "skipped": True, "chi": chi})
             continue
-        w = hom_exists(qd, g, budget)
-        if w is BUDGET_EXCEEDED:
-            return params, INDETERMINATE, {"budget": budget}
-        outcomes.append({"graph": to_json_dict(g), "chi": chi, "hom_found": w is not None})
-        ok = ok and w is not None
+        found = tree_hom(qd, g) is not None
+        outcomes.append({"graph": to_json_dict(g), "chi": chi, "hom_found": found})
+        ok = ok and found
     return params, PASS if ok else FAIL, {"outcomes": outcomes}
 
 
@@ -1171,13 +1163,14 @@ def verify_width1_completeness(
     max_source_vertices: int = 6,
     seed: int = 20111,
     budget: int = DEFAULT_BUDGET,
-    brute_cap: int = 50_000,
 ) -> Outcome:
     """Arc consistency alone decides hom existence into tournament adjoints.
 
     Sources: every digraph with <= 2 vertices plus a seeded random sample up
-    to max_source_vertices.  Ground truth is the complete backtracking search,
-    re-confirmed by plain enumeration on instances small enough (brute_cap).
+    to max_source_vertices.  Ground truth is the complete backtracking search
+    where arc consistency leaves every domain non-empty (a wipeout already
+    proves there is no hom), re-confirmed by plain enumeration on every pair
+    whose map space is at most WIDTH1_BRUTE_CAP.
     """
     params = {
         "max_target_n": max_target_n,
@@ -1201,12 +1194,12 @@ def verify_width1_completeness(
     for target in targets:
         for g in sources:
             ac_says_yes = arc_consistency(g, target) is not None
-            truth = hom_exists(g, target, budget)
+            truth = hom_exists(g, target, budget) if ac_says_yes else None
             if truth is BUDGET_EXCEEDED:
                 return params, *_stopped(checked, failures, {"budget": budget})
             checked += 1
             agree = ac_says_yes == (truth is not None)
-            if agree and g.n > 0 and target.n > 0 and target.n**g.n <= brute_cap:
+            if agree and g.n > 0 and target.n > 0 and target.n**g.n <= WIDTH1_BRUTE_CAP:
                 slow = brute_force_hom(g, target)
                 agree = ac_says_yes == (slow is not None)
             if not agree:

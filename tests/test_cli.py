@@ -208,11 +208,16 @@ def test_find_steep_path_cli_bytes_are_pinned(capsys, argv):
     assert err == ""
 
 
-def test_find_steep_path_out_of_budget_prints_the_report(capsys):
-    code, out, err = run(capsys, "find-steep-path", "--ell", "4", "--check-consequence", "1", "--budget", "1")
-    assert code == 2 and err == ""
-    assert out.splitlines() == ['[INDETERMINATE] steep-path {"ell": 4, "consequence_samples": 1}', "{",
-                                '  "budget": 1', "}"]
+def test_find_steep_path_has_no_budget(capsys):
+    """The steep path is a tree source, so no search of the claim can run
+    out: `find-steep-path` has no --budget and `verify` ignores it."""
+    argv = ["--claim", "steep-path", "--ell", "4", "--check-consequence", "1"]
+    code, out, err = run(capsys, "verify", *argv, "--budget", "1")
+    assert (code, out, err) == run(capsys, "verify", *argv)
+    assert code == 0 and out.startswith("[PASS] steep-path")
+    with pytest.raises(SystemExit) as e:
+        main(["find-steep-path", "--ell", "4", "--budget", "1"])
+    assert e.value.code == 3
 
 
 #: Claims that `verify --claim` runs at their defaults, each checked against

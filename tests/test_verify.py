@@ -333,6 +333,38 @@ def test_steep_consequence_skips_low_chromatic():
     assert outcomes[0].get("skipped") and outcomes[1]["hom_found"]
 
 
+def test_steep_path_claims_need_no_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a steep-path claim ran the budgeted search")
+
+    monkeypatch.setattr(V, "hom_exists", no_search)
+    assert V.verify_steep_path(ell=4, consequence_samples=5).verdict == V.PASS
+    rep = V.verify_steep_consequence(find_steep_path(3), [complete(4), tournament(4)])
+    assert rep.verdict == V.PASS
+
+
+def test_steep_path_without_a_hom_is_fail_and_lists_every_target(monkeypatch):
+    real = V.tree_hom
+    k4 = complete(4)
+    monkeypatch.setattr(V, "tree_hom", lambda t, g: None if g == k4 else real(t, g))
+    rep = V.verify_steep_path(ell=4, consequence_samples=3)
+    assert rep.verdict == V.FAIL
+    assert rep.witnesses["consequence"] == [
+        {"target": "K_4", "hom_found": False},
+        {"target": "T_4", "hom_found": True},
+        *({"target": f"random[{i}]", "hom_found": True} for i in range(3)),
+    ]
+
+
+def test_width1_completeness_searches_only_where_arc_consistency_says_yes(monkeypatch):
+    real = V.hom_exists
+    calls = []
+    monkeypatch.setattr(V, "hom_exists", lambda g, h, *args: calls.append(1) or real(g, h, *args))
+    rep = V.verify_width1_completeness()
+    assert rep.verdict == V.PASS and rep.witnesses["checked"] == 2_028
+    assert len(calls) == 355
+
+
 def test_h_function_k1():
     res = h_function(1)
     assert res.value == 3 and res.argmin.dirs == "+++"
@@ -561,7 +593,7 @@ def test_equivalence_verifiers_agree_with_enumeration():
         (V.verify_duality_tree_exhaustive, {"max_tree_arcs": 2, "max_source_vertices": 2}),
         (V.verify_inadprod, {"n": 4, "k": 2}),
         (V.verify_yz, {"n": 4, "k": 2}),
-        (V.verify_steep_path, {"ell": 3, "consequence_samples": 3}),
+        (V.verify_adjunction, {"g": complete(3), "h": complete(3), "k": 2}),
         (V.verify_width1_completeness, {"random_sources": 5}),
         (V.verify_h_function, {"k": 2}),
         (V.verify_minty, {"g": complete(4), "c": 3, "k": 2}),
@@ -620,5 +652,8 @@ def test_failure_before_an_exhausted_search_is_kept(monkeypatch, verifier, kwarg
     monkeypatch.setattr(V, "hom_exists", flaky)
     rep = verifier(**kwargs)
     assert rep.verdict == V.FAIL
-    assert rep.witnesses["checked"] == 2 and len(rep.witnesses["failures"]) == 1
+    # width1-completeness searches only where arc consistency says yes; it
+    # refutes the looped one-vertex source into T_1, its third pair, unsearched
+    checked = 3 if verifier is V.verify_width1_completeness else 2
+    assert rep.witnesses["checked"] == checked and len(rep.witnesses["failures"]) == 1
     assert rep.witnesses["stopped_by"] == {"budget": V.DEFAULT_BUDGET}
