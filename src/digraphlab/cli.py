@@ -226,6 +226,8 @@ def _steep_path_out(args, report: V.VerifyReport) -> int:
 
 def _h_function_out(args, report: V.VerifyReport) -> int:
     w = report.witnesses
+    if "stopped_by" in w:  # a failed row before an exhausted one: no table
+        return _report_out(args, report)
     if report.verdict == V.INDETERMINATE:
         print(json.dumps({"result": "budget_exceeded", "budget": w["budget"]}))
     elif args.json:

@@ -2,14 +2,14 @@
 
 The chromatic number of a digraph is that of its symmetrisation.  One
 DSATUR search decides k-colourability with colour-symmetry breaking, on an
-explicit stack of per-depth int lists.  A greedy clique gives the lower
-bound; it drops a start or a growing clique as soon as that cannot beat the
-best so far.  One decision runs per k counting up from the clique's size,
-until one colours.  The search state is int bitmasks over the cached degree
-order, the saturation counts as ``k.bit_length()`` bit planes allocated up
-front, so a node costs a few whole-graph int operations, no loop over
-neighbours and no new list.  An optional budget caps the colour assignments
-of all decisions together.
+explicit stack of per-depth int lists.  The digraph's cached greedy clique
+(``Digraph.greedy_clique``) gives the lower bound and its certificate.  One
+decision runs per k counting up from the clique's size, until one colours.
+The search state is int bitmasks over the cached degree order, the
+saturation counts as ``k.bit_length()`` bit planes allocated up front, so a
+node costs a few whole-graph int operations, no loop over neighbours and no
+new list.  An optional budget caps the colour assignments of all decisions
+together.
 """
 
 from __future__ import annotations
@@ -41,42 +41,6 @@ def check_colouring(g: Digraph, colours: Sequence[int]) -> bool:
         if colours[u] == colours[v]:
             return False
     return True
-
-
-def _greedy_clique(g: Digraph, starts: int) -> list[int]:
-    """Best clique grown greedily from each of the first ``starts`` vertices
-    of ``g.degree_order``, in growth order: each step adds the candidate
-    with the most neighbours among the remaining candidates, the lowest
-    index on ties.
-
-    Only a strictly larger clique replaces the best, so two cut-offs leave
-    the answer as it is.  A start of degree below the best's size cannot
-    beat it, and ``degree_order`` is descending, so the first such start
-    ends the loop.  A clique that, with its last vertex's candidates, is
-    no larger than the best can no longer beat it, so it stops growing.
-    """
-    masks = g.neighbour_masks
-    best: list[int] = []
-    for start in g.degree_order[:starts]:
-        common = masks[start]
-        if common.bit_count() < len(best):
-            break
-        clique = [start]
-        while common:
-            most, rest = -1, common
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                d = (masks[v] & common).bit_count()
-                if d > most:
-                    u, most = v, d
-            clique.append(u)
-            if len(clique) + most <= len(best):
-                break
-            common &= masks[u]
-        if len(clique) > len(best):
-            best = clique
-    return best
 
 
 def _decide_colourable(
@@ -198,7 +162,7 @@ def chromatic_number(
     if not g.arcs:
         return ColouringResult(1, (0,) * g.n, (0,))
     left = inf if budget is None else budget
-    clique = sorted(_greedy_clique(g, 24))
+    clique = sorted(g.greedy_clique)
     k = max(len(clique), 2)
     while True:
         if limit is not None and k > limit:

@@ -149,6 +149,38 @@ class Digraph:
         return tuple(masks)
 
     @cached_property
+    def greedy_clique(self) -> tuple[int, ...]:
+        """Best clique grown greedily from each of the first 24 vertices of
+        ``degree_order``, in growth order, each step adding the candidate
+        with most neighbours among the rest (lowest index on ties).  Only a
+        strictly larger clique replaces the best, so two cut-offs keep it:
+        the first start of degree below the best's size ends the loop, and a
+        clique that cannot beat the best with its last vertex's candidates
+        stops growing."""
+        masks = self.neighbour_masks
+        best: list[int] = []
+        for start in self.degree_order[:24]:
+            common = masks[start]
+            if common.bit_count() < len(best):
+                break
+            clique = [start]
+            while common:
+                most, rest = -1, common
+                while rest:
+                    v = (rest & -rest).bit_length() - 1
+                    rest &= rest - 1
+                    d = (masks[v] & common).bit_count()
+                    if d > most:
+                        u, most = v, d
+                clique.append(u)
+                if len(clique) + most <= len(best):
+                    break
+                common &= masks[u]
+            if len(clique) > len(best):
+                best = clique
+        return tuple(best)
+
+    @cached_property
     def tree_order(self) -> Optional[tuple[tuple[int, int, bool], ...]]:
         """For an oriented tree, its non-root vertices in BFS order from
         ``degree_order[0]``, each as (child, parent, True iff the arc runs

@@ -177,15 +177,17 @@ def _stopped(checked: int, failures: list, stopped_by: dict) -> tuple[str, dict]
 
 
 def _first_path_into(
-    paths: Iterable[tuple[OrientedPath, Digraph]], g: Digraph, budget: int
-) -> Union[tuple[OrientedPath, Hom], None, _Budget]:
+    paths: Iterable[tuple[OrientedPath, Digraph]], g: Digraph
+) -> Optional[tuple[OrientedPath, Hom]]:
     """The first (path, hom) of ``paths``, pairs of a path and its digraph,
-    whose path maps into g; None when none does, BUDGET_EXCEEDED when a
-    search runs out before one is found."""
+    whose path maps into g; None when none does.  Each search is budgeted
+    by its path's vertex count: MAC never backtracks on an arc-consistent
+    tree source (Freuder, JACM 1982), so running out is an engine fault,
+    raised as AssertionError."""
     for p, pd in paths:
-        w = hom_exists(pd, g, budget)
+        w = hom_exists(pd, g, pd.n)
         if w is BUDGET_EXCEEDED:
-            return w
+            raise AssertionError(f"path search {p.dirs} ran past {pd.n} nodes")
         if w is not None:
             return p, w
     return None
@@ -516,8 +518,8 @@ def _finobs_check(
     budget: int,
 ) -> Outcome:
     """The finobs check of g against the adjoint ``target`` of the
-    n-tournament and the ``paths`` of ``_finobs_paths(n, k)``; a sweep
-    builds both once and hands them to every source."""
+    n-tournament and the ``paths`` of ``_finobs_paths(n, k)``, which a sweep
+    builds once for every source; only the adjoint search takes ``budget``."""
     params = {"graph": to_json_dict(g), "n": n, "k": k}
     r = hom_exists(g, target, budget)
     if r is BUDGET_EXCEEDED:
@@ -525,9 +527,7 @@ def _finobs_check(
     no_hom_to_adjoint = r is None
 
     forward, members = paths
-    found = _first_path_into(members, g, budget)
-    if found is BUDGET_EXCEEDED:
-        return params, INDETERMINATE, {"budget": budget}
+    found = _first_path_into(members, g)
     some_path_maps = found is not None
 
     witnesses: dict = {
@@ -585,17 +585,15 @@ def verify_finobs_exhaustive(
 
 
 @verifier("minty")
-def verify_minty(g: Digraph, c: int, k: int, budget: int = DEFAULT_BUDGET) -> Outcome:
+def verify_minty(g: Digraph, c: int, k: int) -> Outcome:
     """Any digraph needing more than c colours receives a path with at most
-    k-1 reversals out of the ck-arc family."""
+    k-1 reversals out of the ck-arc family; path searches need no budget."""
     chi = chromatic_number(g).chi
     if chi is None or chi <= c:
         raise ValueError(f"hypothesis needs chi(g) > c, got chi={chi}, c={c}")
     params = {"graph": to_json_dict(g), "c": c, "k": k, "chi": chi}
     family = path_family(c * k, k - 1)
-    found = _first_path_into(((p, p.as_digraph()) for p in family.members), g, budget)
-    if found is BUDGET_EXCEEDED:
-        return params, INDETERMINATE, {"budget": budget}
+    found = _first_path_into(((p, p.as_digraph()) for p in family.members), g)
     if found is None:
         return params, FAIL, {"family_size": len(family)}
     p, w = found
@@ -678,7 +676,8 @@ def verify_inadprod(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Outcome:
     Direction into the product is checked factor by factor; the converse is
     certified by exhibiting, for every family member Q, a member P mapping
     into Q (so no obstruction embeds in the product, which forces the hom).
-    The product itself is never materialized.
+    The product itself is never materialized.  ``budget`` bounds the
+    searches into the factors; the covers are path searches and need none.
     """
     params = {"n": n, "k": k}
     iota = interleaved_adjoint(tournament(n), k)
@@ -695,9 +694,7 @@ def verify_inadprod(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Outcome:
 
     covers = []
     for q, qd in members:
-        hit = _first_path_into(members, qd, budget)
-        if hit is BUDGET_EXCEEDED:
-            return params, INDETERMINATE, {"budget": budget}
+        hit = _first_path_into(members, qd)
         if hit is None:
             return params, FAIL, {"uncovered": q.dirs}
         p, w = hit
@@ -990,10 +987,14 @@ def verify_steep_consequence(result: SteepPathResult, graphs: Sequence[Digraph])
 
 @dataclass
 class HFunctionResult:
+    """h(k) and its table; ``stopped`` when a row ran out of budget after an
+    earlier one failed its cross-check, and the table ends before it."""
+
     k: int
     value: int
     argmin: OrientedPath
     rows: tuple[dict, ...] = field(repr=False)
+    stopped: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -1009,10 +1010,10 @@ def h_function(k: int, budget: int = DEFAULT_BUDGET) -> Union[HFunctionResult, _
 
     Every row's chromatic number chi is cross-checked: its colouring passes
     ``check_colouring`` with colours below chi, and a hom decision refuses
-    the complete graph of order chi - 1.  Returns BUDGET_EXCEEDED when a
-    row's colouring or that decision runs out of budget; a cross-check that
-    fails leaves the row's ``cross_checked`` false, which
-    `verify_h_function` reports as FAIL.
+    the complete graph of order chi - 1; one that fails leaves the row's
+    ``cross_checked`` false, which `verify_h_function` reports as FAIL.
+    Returns BUDGET_EXCEEDED when a row's colouring or that decision runs
+    out of budget, or, after a failed row, the table up to it, ``stopped``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -1020,16 +1021,15 @@ def h_function(k: int, budget: int = DEFAULT_BUDGET) -> Union[HFunctionResult, _
         raise SizeLimitExceeded("h_function", k, MAX_H_K)
     family = path_family(3 * k, k - 1)
     rows = []
-    best: Optional[tuple[int, OrientedPath]] = None
     for p in family.members:
         dual = tree_dual(p.as_digraph())
         res = chromatic_number(dual, budget=budget)
-        if res is BUDGET_EXCEEDED:
-            return BUDGET_EXCEEDED
-        assert res.chi is not None
-        down = hom_exists(dual, complete(res.chi - 1), budget) if res.chi >= 1 else None
+        # BUDGET_EXCEEDED is falsy, so an exhausted colouring passes through
+        down = res and hom_exists(dual, complete(res.chi - 1), budget)
         if down is BUDGET_EXCEEDED:
-            return BUDGET_EXCEEDED
+            if all(row["cross_checked"] for row in rows):
+                return BUDGET_EXCEEDED
+            break
         cross = check_colouring(dual, res.colouring) and max(res.colouring, default=-1) < res.chi and down is None
         rows.append(
             {
@@ -1039,10 +1039,8 @@ def h_function(k: int, budget: int = DEFAULT_BUDGET) -> Union[HFunctionResult, _
                 "cross_checked": cross,
             }
         )
-        if best is None or res.chi < best[0]:
-            best = (res.chi, p)
-    assert best is not None
-    return HFunctionResult(k, best[0], best[1], tuple(rows))
+    i = min(range(len(rows)), key=lambda i: rows[i]["chi"])  # the first least chi
+    return HFunctionResult(k, rows[i]["chi"], family.members[i], tuple(rows), len(rows) < len(family))
 
 
 @verifier("h-function")
@@ -1051,6 +1049,9 @@ def verify_h_function(k: int, expected: Optional[int] = None, budget: int = DEFA
     result = h_function(k, budget)
     if result is BUDGET_EXCEEDED:
         return params, INDETERMINATE, {"budget": budget}
+    if result.stopped:
+        failures = [row for row in result.rows if not row["cross_checked"]]
+        return params, *_stopped(len(result.rows), failures, {"budget": budget})
     ok = all(row["cross_checked"] for row in result.rows)
     ok = ok and result.value <= 3 * k
     if expected is not None:

@@ -300,6 +300,44 @@ def test_verify_claim_steep_path_is_find_steep_path(capsys):
     assert json.loads(out)["params"]["consequence_samples"] == 0
 
 
+def test_h_function_failure_before_an_exhausted_row_prints_the_report(capsys, monkeypatch):
+    """The first row's chi is one too high and the third row runs out: the
+    failed row is kept, FAIL with ``stopped_by``, printed as the report."""
+    from digraphlab import verify as V
+
+    real = V.chromatic_number
+    calls = []
+
+    def flaky(g, **kw):
+        calls.append(1)
+        if len(calls) == 3:
+            return V.BUDGET_EXCEEDED
+        res = real(g, **kw)
+        return replace(res, chi=res.chi + 1) if len(calls) == 1 else res
+
+    monkeypatch.setattr(V, "chromatic_number", flaky)
+    code, out, err = run(capsys, "h-function", "--k", "2", "--json")
+    report = json.loads(out)
+    assert code == 1 and err == "" and report["verdict"] == "FAIL"
+    assert report["witnesses"] == {
+        "checked": 2,
+        "failures": [{"path": "++++++", "dual_vertices": 32, "chi": 7, "cross_checked": False}],
+        "stopped_by": {"budget": V.DEFAULT_BUDGET},
+    }
+
+
+def test_minty_path_search_out_of_budget_is_an_error(tmp_path, capsys, monkeypatch):
+    """A path search cannot run out within its own length; if it does, the
+    engine is at fault: ERROR, exit 4, never INDETERMINATE."""
+    from digraphlab import verify as V
+
+    monkeypatch.setattr(V, "hom_exists", lambda *args: V.BUDGET_EXCEEDED)
+    k4 = _graph_files(tmp_path)("k4")
+    code, out, err = run(capsys, "verify", "--claim", "minty", "--input", k4, "--c", "3", "--k", "2", "--json")
+    assert code == 4 and err == ""
+    assert json.loads(out)["verdict"] == "ERROR"
+
+
 def test_h_function_k3_colouring_budget_exits_two(capsys):
     code, out, err = run(capsys, "h-function", "--k", "3", "--budget", "20000")
     assert code == 2 and json.loads(out) == {"result": "budget_exceeded", "budget": 20000}
@@ -532,6 +570,8 @@ VERIFY_CLI_DIGESTS = {
     "--claim finobs --input @t5 --n 4 --k 2":
         "5a2c5f9e9e588d9a75f02b87a0bf4ee8a3df88b54fec01d79c6a7b0d71d8be2d",
     "--claim minty --input @k4 --c 3 --k 2":
+        "24c16e988788d84902e74e94bd1d348d56435c0af2db1a0d6399277e20c208d2",
+    "--claim minty --input @k4 --c 3 --k 2 --budget 1":
         "24c16e988788d84902e74e94bd1d348d56435c0af2db1a0d6399277e20c208d2",
     "--claim duality-tree --max-tree-arcs 2 --max-vertices 2":
         "4b422beb91a335e8a20464a9857620e77e4953f9a17ec464d82e4b8b18c15ba3",

@@ -293,12 +293,13 @@ def test_threshold_decisions_are_pinned():
     assert digest == "7dd48888703e7eb6fee0b19736629c4a0085173419d81b0f077524bff3debd5b"
 
 
-def _greedy_clique_without_exits(g, starts):
-    """The greedy clique grown in full from each start: the reference for
-    the library's version, whose early exits must not change the clique."""
+def _greedy_clique_without_exits(g):
+    """The greedy clique grown in full from each of 24 starts: the reference
+    for ``Digraph.greedy_clique``, whose early exits must not change the
+    clique."""
     masks = g.neighbour_masks
     best = []
-    for start in g.degree_order[:starts]:
+    for start in g.degree_order[:24]:
         clique = [start]
         common = masks[start]
         while common:
@@ -313,17 +314,14 @@ def _greedy_clique_without_exits(g, starts):
             common &= masks[u]
         if len(clique) > len(best):
             best = clique
-    return best
+    return tuple(best)
 
 
 def test_greedy_clique_exits_keep_the_clique():
-    from digraphlab.coloring import _greedy_clique
-
     rng = random.Random(20264)
     graphs = [random_digraph(rng, rng.randint(1, 40), rng.uniform(0.02, 0.9)) for _ in range(200)]
     graphs += _threshold_graphs(30, 60, 20261)
     graphs += [complete(n) for n in range(1, 30)]
     graphs += [interleaved_adjoint(tournament(n), k) for k in range(1, 4) for n in range(2 * k, 9)]
     for g in graphs:
-        for starts in (8, 24):
-            assert _greedy_clique(g, starts) == _greedy_clique_without_exits(g, starts)
+        assert g.greedy_clique == _greedy_clique_without_exits(g)

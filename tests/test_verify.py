@@ -123,6 +123,21 @@ def test_minty_rejects_low_chromatic_input():
         V.verify_minty(complete(2), 3, 2)
 
 
+def test_tree_searches_stay_within_their_vertex_count():
+    """MAC never backtracks from an arc-consistent tree source, so a search
+    budgeted by the tree's vertex count never runs out, as the path searches
+    of finobs, minty and inadprod rely on; it agrees with tree_hom."""
+    rng = random.Random(2025)
+    trees = V.oriented_trees(5) + [p.as_digraph() for p in path_family(9, 2).members]
+    targets = [V.random_digraph(rng, rng.randint(1, 7), rng.uniform(0.05, 0.5), 0.15) for _ in range(40)]
+    targets += [complete(c) for c in range(2, 6)]
+    for t in trees:
+        for h in targets:
+            w = hom_exists(t, h, t.n)
+            assert w is not V.BUDGET_EXCEEDED
+            assert (w is None) == (tree_hom(t, h) is None)
+
+
 def test_duality_single_arc_tree():
     rep = V.verify_duality_tree(path(1), list(V.all_digraphs(2)))
     assert rep.passed
@@ -596,7 +611,7 @@ def test_equivalence_verifiers_agree_with_enumeration():
         (V.verify_adjunction, {"g": complete(3), "h": complete(3), "k": 2}),
         (V.verify_width1_completeness, {"random_sources": 5}),
         (V.verify_h_function, {"k": 2}),
-        (V.verify_minty, {"g": complete(4), "c": 3, "k": 2}),
+        (V.verify_duality_tree, {"t": path(2)}),
     ],
 )
 def test_exhausted_budget_is_indeterminate(verifier, kwargs):
