@@ -7,7 +7,6 @@ from .core import (
     SizeLimitExceeded,
     from_json,
     induced,
-    is_symmetric,
     make_digraph,
     symmetrize,
     to_dot,

@@ -282,10 +282,6 @@ def symmetrize(g: Digraph) -> Digraph:
     return Digraph(g.n, tuple(sorted(closed)), name, g.labels)
 
 
-def is_symmetric(g: Digraph) -> bool:
-    return all((v, u) in g.arc_set for u, v in g.arcs)
-
-
 def induced(g: Digraph, vertices: Iterable[int]) -> Digraph:
     """Subgraph induced by ``vertices``, relabelled in sorted order to 0..|S|-1."""
     sub = sorted(set(vertices))

@@ -28,11 +28,14 @@ gives from the same clamp.
 Once no two unassigned vertices are adjacent, the nodes MAC has left each
 colour one of them with its lowest colour, so they are counted in one step.
 
-An oriented-tree source needs no search at all: ``tree_hom`` runs
-directional arc consistency in two passes over the tree's cached BFS order,
-leaves to root and back, on the same domains and support memo.
-``hom_exists`` keeps its search for every source, so its witnesses do not
-depend on whether the source is a tree.
+An oriented-tree source needs no backtracking (Freuder, JACM 1982).
+``tree_hom`` decides one by directional arc consistency in two passes over
+the tree's cached BFS order, leaves to root and back, on the same domains
+and support memo.  ``hom_exists`` gives an oriented-tree source, into any
+target but K_c, a path of its own: the AC-3 fixpoint in those two passes,
+then MAC's picks with no trail, frames or retries, since none of them ever
+fires on a tree.  Its witnesses, Nones and budget boundaries stay MAC's, so
+they do not depend on whether the source is a tree.
 """
 
 from __future__ import annotations
@@ -81,14 +84,9 @@ def tree_hom(t: Digraph, h: Digraph) -> Optional[Hom]:
         raise ValueError("tree_hom needs an oriented tree")
     if h.n == 0:
         return None
-    supports = h.supports
-    doms = [(1 << h.n) - 1] * t.n
-    for c, p, fwd in reversed(order):
-        dc = doms[c]
-        out_sup, in_sup = supports.get(dc) or _support(h, dc)
-        doms[p] &= in_sup if fwd else out_sup
-        if not doms[p]:
-            return None
+    doms = _leaves_to_root(t, h)
+    if doms is None:
+        return None
     out_masks, in_masks = h.out_masks, h.in_masks
     root = t.degree_order[0]
     image = [0] * t.n
@@ -100,6 +98,100 @@ def tree_hom(t: Digraph, h: Digraph) -> Optional[Hom]:
     if not validate_hom(witness, t, h):
         raise AssertionError(f"tree_hom built an invalid witness {witness.map}")
     return witness
+
+
+def _leaves_to_root(t: Digraph, h: Digraph) -> Optional[list[int]]:
+    """Full domains of the oriented tree t over h, filtered leaves to root
+    along ``t.tree_order``: each parent keeps only the values its child's
+    domain supports along their arc.  None when a domain empties."""
+    supports = h.supports
+    doms = [(1 << h.n) - 1] * t.n
+    for c, p, fwd in reversed(t.tree_order):
+        dc = doms[c]
+        out_sup, in_sup = supports.get(dc) or _support(h, dc)
+        doms[p] &= in_sup if fwd else out_sup
+        if not doms[p]:
+            return None
+    return doms
+
+
+def _tree_consistency(t: Digraph, h: Digraph) -> Optional[list[int]]:
+    """``_fixpoint``'s domains for the oriented tree t, in two passes.
+
+    After ``_leaves_to_root`` every value of a parent has a support in each
+    child.  Root to leaves, each child then keeps only the values its
+    parent's domain supports, and every support of a kept parent value is
+    one of them.  So no domain empties in the second pass and every value
+    left has its supports both ways, while every value removed had none:
+    this is the largest arc-consistent fixpoint."""
+    doms = _leaves_to_root(t, h)
+    if doms is None:
+        return None
+    supports = h.supports
+    for c, p, fwd in t.tree_order:
+        dp = doms[p]
+        out_sup, in_sup = supports.get(dp) or _support(h, dp)
+        doms[c] &= out_sup if fwd else in_sup
+    return doms
+
+
+def _tree_search(t: Digraph, h: Digraph, doms: list[int], budget: int):
+    """``_mac_search`` for the oriented tree t from its arc-consistent doms.
+
+    On an arc-consistent tree every value extends to a hom (Freuder, JACM
+    1982), and the AC-3 fixpoint after an assignment is arc-consistent
+    again, so MAC's first value never wipes out: it never backtracks and
+    tries one value per pick.  So this keeps MAC's rules without its trail,
+    frames or retries: pick the smallest domain of size >= 2 (lowest
+    ``degree_rank`` on ties), take its lowest value, count one node, and
+    propagate outward over a plain worklist, then re-bucket the worklist by
+    domain size as ``_Buckets.sync`` does, inline, as this loop is the whole
+    cost of a large tree.  Returns MAC's assignment, or BUDGET_EXCEEDED at
+    MAC's node count.
+    """
+    succ, pred, supports = t.out_neighbours, t.in_neighbours, h.supports
+    order, rank = t.degree_order, t.degree_rank
+    size = [1] * t.n
+    buckets = [0] * (h.n + 1)
+    nonempty = nodes = 0
+    changed: Sequence[int] = range(t.n)
+    while True:
+        for v in changed:
+            old, new = size[v], doms[v].bit_count()
+            size[v] = new
+            bit = 1 << rank[v]
+            if old > 1:
+                buckets[old] ^= bit
+                if not buckets[old]:
+                    nonempty ^= 1 << old
+            if new > 1:
+                if not buckets[new]:
+                    nonempty |= 1 << new
+                buckets[new] |= bit
+        if not nonempty:
+            return tuple(d.bit_length() - 1 for d in doms)
+        nodes += 1
+        if nodes > budget:
+            return BUDGET_EXCEEDED
+        bucket = buckets[(nonempty & -nonempty).bit_length() - 1]
+        u = order[(bucket & -bucket).bit_length() - 1]
+        doms[u] &= -doms[u]
+        changed = [u]
+        for x in changed:
+            dx = doms[x]
+            out_sup, in_sup = supports.get(dx) or _support(h, dx)
+            for v in succ[x]:
+                dv = doms[v]
+                kept = dv & out_sup
+                if kept != dv:
+                    doms[v] = kept
+                    changed.append(v)
+            for v in pred[x]:
+                dv = doms[v]
+                kept = dv & in_sup
+                if kept != dv:
+                    doms[v] = kept
+                    changed.append(v)
 
 
 def _fixpoint(g: Digraph, h: Digraph, doms: list[int]) -> bool:
@@ -411,8 +503,10 @@ def hom_exists(g: Digraph, h: Digraph, budget: int = DEFAULT_BUDGET) -> HomResul
 
     Returns a validated witness, None when the exhaustive search proves there
     is none, or BUDGET_EXCEEDED when more than ``budget`` values were tried
-    (no claim).  Complete symmetric targets K_c go to ``_complete_search``,
-    every other target to MAC.
+    (no claim).  Complete symmetric targets K_c go to ``_complete_search``;
+    an oriented-tree source into any other target to ``_tree_consistency``
+    and ``_tree_search``, which give MAC's answers and node counts; every
+    other source to MAC.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -424,6 +518,11 @@ def hom_exists(g: Digraph, h: Digraph, budget: int = DEFAULT_BUDGET) -> HomResul
         if g.loops:
             return None
         assignment = _complete_search(g, h.n, budget)
+    elif g.tree_order is not None:
+        doms = _tree_consistency(g, h)
+        if doms is None:
+            return None
+        assignment = _tree_search(g, h, doms, budget)
     else:
         doms = [(1 << h.n) - 1] * g.n
         if not _fixpoint(g, h, doms):
@@ -471,9 +570,10 @@ def brute_force_hom(g: Digraph, h: Digraph) -> Optional[Hom]:
     ``h.out_masks``/``h.in_masks`` of its placed neighbours' images, and of
     ``h.loop_mask`` for a loop at i, tried lowest bit first.  Nothing is
     propagated to unplaced vertices, so the oracle shares no reasoning with
-    the search engine.  The enumeration runs on an explicit stack (no
-    recursion, whatever the source size).  Raises SizeLimitExceeded when the
-    full space |V(H)|^|V(G)| exceeds BRUTE_FORCE_LIMIT.
+    the search engine.  The enumeration keeps one mask of untried targets
+    per depth (no recursion, whatever the source size).  Raises
+    SizeLimitExceeded when the full space |V(H)|^|V(G)| exceeds
+    BRUTE_FORCE_LIMIT.
     """
     space = h.n**g.n if g.n else 1
     if space > BRUTE_FORCE_LIMIT:
@@ -481,37 +581,34 @@ def brute_force_hom(g: Digraph, h: Digraph) -> Optional[Hom]:
     n = g.n
     if n == 0:
         return Hom((), g.name, h.name)
-    placed_in: list[list[int]] = [[] for _ in range(n)]  # u < i with arc (u, i)
-    placed_out: list[list[int]] = [[] for _ in range(n)]  # v < i with arc (i, v)
+    out_masks, in_masks = h.out_masks, h.in_masks
+    # vertex i's constraints: (placed neighbour, the masks its image selects)
+    placed: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
     base = [(1 << h.n) - 1] * n  # h.loop_mask at a looped vertex
     for u, v in g.arcs:
         if u < v:
-            placed_in[v].append(u)
+            placed[v].append((u, out_masks))
         elif v < u:
-            placed_out[u].append(v)
+            placed[u].append((v, in_masks))
         else:
             base[u] = h.loop_mask
-    out_masks, in_masks = h.out_masks, h.in_masks
     assignment = [0] * n
-
-    def candidates(i: int) -> int:
-        allowed = base[i]
-        for u in placed_in[i]:
-            allowed &= out_masks[assignment[u]]
-        for v in placed_out[i]:
-            allowed &= in_masks[assignment[v]]
-        return allowed
-
-    stack = [candidates(0)]
-    while stack:
-        untried = stack[-1]
-        if not untried:
-            stack.pop()
+    untried = [0] * n
+    untried[0] = base[0]
+    depth = 0
+    while depth >= 0:
+        rest = untried[depth]
+        if not rest:
+            depth -= 1
             continue
-        low = untried & -untried
-        stack[-1] = untried ^ low
-        assignment[len(stack) - 1] = low.bit_length() - 1
-        if len(stack) == n:
+        low = rest & -rest
+        untried[depth] = rest ^ low
+        assignment[depth] = low.bit_length() - 1
+        depth += 1
+        if depth == n:
             return Hom(tuple(assignment), g.name, h.name)
-        stack.append(candidates(len(stack)))
+        allowed = base[depth]
+        for u, masks in placed[depth]:
+            allowed &= masks[assignment[u]]
+        untried[depth] = allowed
     return None

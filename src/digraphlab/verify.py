@@ -181,9 +181,10 @@ def _first_path_into(
 ) -> Optional[tuple[OrientedPath, Hom]]:
     """The first (path, hom) of ``paths``, pairs of a path and its digraph,
     whose path maps into g; None when none does.  Each search is budgeted
-    by its path's vertex count: MAC never backtracks on an arc-consistent
-    tree source (Freuder, JACM 1982), so running out is an engine fault,
-    raised as AssertionError."""
+    by its path's vertex count: a search from an arc-consistent tree never
+    backtracks (Freuder, JACM 1982), so ``hom_exists``'s tree path and its
+    search into K_c each try at most one value per vertex.  Running out is
+    an engine fault, raised as AssertionError."""
     for p, pd in paths:
         w = hom_exists(pd, g, pd.n)
         if w is BUDGET_EXCEEDED:

@@ -101,6 +101,25 @@ def test_brute_force_is_the_least_hom_of_plain_enumeration():
         assert brute_force_hom(g, h) == _reference_enumeration(g, h), (g.arcs, h.arcs)
 
 
+def test_brute_force_answers_are_pinned():
+    """The oracle's least homs (or None) over 500 seeded pairs, loops and
+    0-vertex sides among them, as the oracle gave them before its
+    candidate masks were built from per-vertex constraint tables."""
+    import hashlib
+    import json
+
+    rng = random.Random(67)
+    results = []
+    for _ in range(500):
+        g = random_digraph(rng, rng.randint(0, 6), rng.uniform(0.05, 0.8), loop_p=rng.choice([0.0, 0.15]))
+        h = random_digraph(rng, rng.randint(0, 5), rng.uniform(0.1, 0.9), loop_p=rng.choice([0.0, 0.3]))
+        w = brute_force_hom(g, h)
+        results.append(None if w is None else list(w.map))
+    assert sum(r is None for r in results) > 100 and sum(r == [] for r in results) > 20
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == "2dfd4eb356ee2375da8d3785e13e891ab450038c4f5bc526cbbe4b4a3fe99b77"
+
+
 def test_brute_force_needs_no_recursion():
     looped_vertex = make_digraph(1, [(0, 0)])
     w = brute_force_hom(path(5000), looped_vertex)
@@ -504,6 +523,54 @@ def test_tree_hom_matches_the_search_on_large_trees():
         for h in _tree_targets(rng):
             _check_tree_hom(t, h, hom_exists(t, h) is not None)
     assert sys.getrecursionlimit() == limit
+
+
+def _tree_shape(rng, n):
+    """A star, a path or a random tree on n vertices, arcs randomly
+    directed and vertex ids shuffled."""
+    shape = rng.choice(["star", "path", "random"])
+    if shape == "random":
+        return _random_oriented_tree(rng, n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    arcs = []
+    for i in range(1, n):
+        j = 0 if shape == "star" else i - 1
+        arcs.append((perm[i], perm[j]) if rng.random() < 0.5 else (perm[j], perm[i]))
+    return make_digraph(n, arcs)
+
+
+def _mac(t, h, budget):
+    """The general search on t: the AC-3 fixpoint, then MAC."""
+    doms = [(1 << h.n) - 1] * t.n
+    if not homs._fixpoint(t, h, doms):
+        return None
+    return homs._mac_search(t, h, doms, budget)
+
+
+def test_tree_path_is_mac_on_trees():
+    """hom_exists searches oriented-tree sources without MAC's trail; its
+    domains, witnesses, Nones and budget boundaries are MAC's."""
+    rng = random.Random(71)
+    cases = 0
+    for _ in range(150):
+        t = _tree_shape(rng, rng.choice([1, 2, rng.randint(3, 60)]))
+        assert t.tree_order is not None
+        for _ in range(4):
+            h = random_digraph(rng, rng.randint(1, 6), rng.uniform(0.1, 0.7), loop_p=rng.choice([0.0, 0.2]))
+            h = make_digraph(h.n + rng.randint(0, 2), h.arcs)  # isolated vertices
+            if homs._is_complete_symmetric(h):
+                continue  # K_c has a search of its own
+            cases += 1
+            assert homs._tree_consistency(t, h) == arc_consistency(t, h), (t.arcs, h.arcs)
+            w = hom_exists(t, h)
+            expected = _mac(t, h, homs.DEFAULT_BUDGET)
+            assert (None if w is None else w.map) == expected, (t.arcs, h.arcs)
+            budget = rng.randint(1, t.n + 1)
+            w = hom_exists(t, h, budget)
+            expected = _mac(t, h, budget)
+            assert (w if w is None or w is BUDGET_EXCEEDED else w.map) == expected, (t.arcs, h.arcs, budget)
+    assert cases > 500
 
 
 @pytest.mark.parametrize(
