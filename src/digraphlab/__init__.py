@@ -38,7 +38,7 @@ from .homs import (
     hom_exists,
     tree_hom,
 )
-from .coloring import ColouringResult, check_colouring, chi_bounds_arc_graph, chromatic_number
+from .coloring import ColouringResult, check_colouring, chromatic_number
 from .level_search import LevelWalk, find_level_walk
 from .verify import SteepPathResult, VerifyReport, find_steep_path, h_function
 

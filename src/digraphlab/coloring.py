@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import inf, log2
+from math import inf
 from typing import Optional, Sequence, Union
 
 from .core import BUDGET_EXCEEDED, Digraph, _Budget
-from .constructions import arc_graph
 
 
 @dataclass(frozen=True)
@@ -175,26 +174,3 @@ def chromatic_number(
             return ColouringResult(k, tuple(colouring), cert)
         left -= spent
         k += 1
-
-
-@dataclass(frozen=True)
-class ArcGraphChiReport:
-    """Logarithmic sandwich for the chromatic number of the arc graph."""
-
-    lower: float
-    upper: float
-    actual: int
-    within_bounds: bool
-
-
-def chi_bounds_arc_graph(g: Digraph) -> ArcGraphChiReport:
-    """chi of the arc graph against its log2 bounds in chi(g)."""
-    chi_g = chromatic_number(g).chi
-    assert chi_g is not None
-    if chi_g == 0:
-        lower = upper = 0.0
-    else:
-        lower, upper = log2(chi_g), 2 * log2(chi_g)
-    actual = chromatic_number(arc_graph(g)).chi
-    assert actual is not None
-    return ArcGraphChiReport(lower, upper, actual, lower <= actual <= upper)

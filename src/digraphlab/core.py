@@ -8,6 +8,7 @@ and keep the original objects in a label table for witness reporting.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -17,6 +18,17 @@ from typing import Iterable, Optional, Sequence
 
 #: Builders and the JSON loader refuse a digraph with more vertices than this.
 DEFAULT_VERTEX_LIMIT = 200_000
+
+#: A digraph on at most this many vertices takes its arc pairs from
+#: ``_SHARED_PAIRS``, so an arc (u, v) is one object in all of them.  The
+#: bound keeps the table small: the pairs of a large digraph (a tree dual of
+#: 2,048 vertices has up to 59,049 arcs) would outlive the digraph there.
+SHARED_PAIR_VERTICES = 256
+
+#: Each arc pair (u, v) with u, v < SHARED_PAIR_VERTICES, keyed by itself,
+#: added on first use: at most SHARED_PAIR_VERTICES ** 2 entries, and none
+#: until a digraph is built, so a process that builds few pays for few.
+_SHARED_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 class ConstructionError(ValueError):
@@ -40,6 +52,9 @@ class Digraph:
     Equality and hashing use ``(n, arcs)`` only; ``name`` and ``labels`` are
     provenance metadata.  ``labels``, when present, maps each vertex id to the
     structured object (tuple, function table, ...) it was flattened from.
+    Built by ``make_digraph`` or ``symmetrize``, a digraph on at most
+    SHARED_PAIR_VERTICES vertices shares each arc pair object with every
+    other such digraph that has the arc.
     """
 
     n: int
@@ -181,10 +196,11 @@ class Digraph:
         return tuple(best)
 
     @cached_property
-    def tree_order(self) -> Optional[tuple[tuple[int, int, bool], ...]]:
+    def tree_order(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...], tuple[bool, ...]]]:
         """For an oriented tree, its non-root vertices in BFS order from
-        ``degree_order[0]``, each as (child, parent, True iff the arc runs
-        parent -> child); None for any other digraph.
+        ``degree_order[0]`` as three parallel tuples: the children, their
+        parents, and True where the arc runs parent -> child; None for any
+        other digraph.
 
         |A| = |V| - 1 and connected: so the underlying multigraph is a
         tree, which rules out loops and 2-cycles too.
@@ -195,16 +211,20 @@ class Digraph:
         root = self.degree_order[0]
         seen = [False] * self.n
         seen[root] = True
-        order: list[tuple[int, int, bool]] = []
         frontier = [root]
+        parents: list[int] = []
+        forward: list[bool] = []
         for p in frontier:
             for fwd, nbrs in ((True, succ[p]), (False, pred[p])):
                 for c in nbrs:
                     if not seen[c]:
                         seen[c] = True
-                        order.append((c, p, fwd))
                         frontier.append(c)
-        return tuple(order) if len(order) == self.n - 1 else None
+                        parents.append(p)
+                        forward.append(fwd)
+        if len(parents) != self.n - 1:
+            return None
+        return tuple(frontier[1:]), tuple(parents), tuple(forward)
 
     @cached_property
     def supports(self) -> dict[int, tuple[int, int]]:
@@ -214,7 +234,15 @@ class Digraph:
         return {}
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arc_set
+        """``(u, v) in self.arcs``, by binary search over the sorted arcs, so
+        no ``arc_set`` is built; an endpoint that does not compare with
+        ints (a str, None) answers False."""
+        arcs = self.arcs
+        try:
+            i = bisect_left(arcs, (u, v))
+        except TypeError:
+            return False
+        return i < len(arcs) and arcs[i] == (u, v)
 
     def has_loop(self) -> bool:
         return bool(self.loops)
@@ -248,7 +276,9 @@ def make_digraph(
 ) -> Digraph:
     """Build a digraph, deduplicating and sorting the arc list.
 
-    Loops (u, u) are allowed.  An endpoint that is not an integer (by
+    On at most SHARED_PAIR_VERTICES vertices each arc is the shared pair
+    object, so equal arcs of two such digraphs are one object.  Loops
+    (u, u) are allowed.  An endpoint that is not an integer (by
     ``operator.index``: not 1.5, "0" or None) or lies outside 0..n-1 is a
     construction error.  More than DEFAULT_VERTEX_LIMIT vertices is
     SizeLimitExceeded, raised before ``arcs`` is read, so a builder that
@@ -271,7 +301,17 @@ def make_digraph(
     tab = tuple(labels) if labels is not None else None
     if tab is not None and len(tab) != n:
         raise ConstructionError(f"label table has {len(tab)} entries for {n} vertices")
-    return Digraph(n, tuple(sorted(seen)), name, tab)
+    return Digraph(n, _arc_tuple(n, seen), name, tab)
+
+
+def _arc_tuple(n: int, pairs: set[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The arc set ``pairs`` of a digraph on n vertices as a sorted tuple;
+    on at most SHARED_PAIR_VERTICES vertices each arc is the shared pair
+    object, added to ``_SHARED_PAIRS`` on first use."""
+    arcs = sorted(pairs)
+    if n > SHARED_PAIR_VERTICES:
+        return tuple(arcs)
+    return tuple(map(_SHARED_PAIRS.setdefault, arcs, arcs))
 
 
 def symmetrize(g: Digraph) -> Digraph:
@@ -279,7 +319,7 @@ def symmetrize(g: Digraph) -> Digraph:
     closed = set(g.arcs)
     closed.update((v, u) for u, v in g.arcs)
     name = f"sym({g.name})" if g.name else None
-    return Digraph(g.n, tuple(sorted(closed)), name, g.labels)
+    return Digraph(g.n, _arc_tuple(g.n, closed), name, g.labels)
 
 
 def induced(g: Digraph, vertices: Iterable[int]) -> Digraph:

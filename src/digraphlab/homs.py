@@ -91,8 +91,10 @@ def tree_hom(t: Digraph, h: Digraph) -> Optional[Hom]:
     root = t.degree_order[0]
     image = [0] * t.n
     image[root] = (doms[root] & -doms[root]).bit_length() - 1
-    for c, p, fwd in order:
-        allowed = doms[c] & (out_masks if fwd else in_masks)[image[p]]
+    children, parents, forward = order
+    for i in range(len(children)):
+        c = children[i]
+        allowed = doms[c] & (out_masks if forward[i] else in_masks)[image[parents[i]]]
         image[c] = (allowed & -allowed).bit_length() - 1
     witness = Hom(tuple(image), t.name, h.name)
     if not validate_hom(witness, t, h):
@@ -106,10 +108,11 @@ def _leaves_to_root(t: Digraph, h: Digraph) -> Optional[list[int]]:
     domain supports along their arc.  None when a domain empties."""
     supports = h.supports
     doms = [(1 << h.n) - 1] * t.n
-    for c, p, fwd in reversed(t.tree_order):
-        dc = doms[c]
+    children, parents, forward = t.tree_order
+    for i in range(len(children) - 1, -1, -1):
+        dc, p = doms[children[i]], parents[i]
         out_sup, in_sup = supports.get(dc) or _support(h, dc)
-        doms[p] &= in_sup if fwd else out_sup
+        doms[p] &= in_sup if forward[i] else out_sup
         if not doms[p]:
             return None
     return doms
@@ -128,10 +131,11 @@ def _tree_consistency(t: Digraph, h: Digraph) -> Optional[list[int]]:
     if doms is None:
         return None
     supports = h.supports
-    for c, p, fwd in t.tree_order:
-        dp = doms[p]
+    children, parents, forward = t.tree_order
+    for i in range(len(children)):
+        dp = doms[parents[i]]
         out_sup, in_sup = supports.get(dp) or _support(h, dp)
-        doms[c] &= out_sup if fwd else in_sup
+        doms[children[i]] &= out_sup if forward[i] else in_sup
     return doms
 
 

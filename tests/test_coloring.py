@@ -9,7 +9,6 @@ from digraphlab import (
     Hom,
     arc_graph,
     check_colouring,
-    chi_bounds_arc_graph,
     chromatic_number,
     complete,
     hom_exists,
@@ -112,23 +111,6 @@ def test_chi_equals_min_hom_into_complete():
         sym = symmetrize(g)
         by_hom = next(n for n in range(1, g.n + 1) if isinstance(hom_exists(sym, complete(n)), Hom))
         assert chi == by_hom
-
-
-def test_chi_bounds_arc_graph_k2():
-    rep = chi_bounds_arc_graph(complete(2))
-    assert (rep.lower, rep.upper) == (1.0, 2.0)
-    assert rep.actual == 2 and rep.within_bounds
-
-
-def test_chi_bounds_arc_graph_k4():
-    rep = chi_bounds_arc_graph(complete(4))
-    assert (rep.lower, rep.upper) == (2.0, 4.0)
-    assert rep.within_bounds
-
-
-def test_chi_bounds_arcless():
-    rep = chi_bounds_arc_graph(make_digraph(3, []))
-    assert rep.actual == 0 and rep.within_bounds
 
 
 def test_sandwich_on_random_graphs():

@@ -20,7 +20,8 @@ from digraphlab import (
     tournament,
     validate_hom,
 )
-from digraphlab.core import DEFAULT_VERTEX_LIMIT, SizeLimitExceeded
+from digraphlab import core
+from digraphlab.core import DEFAULT_VERTEX_LIMIT, SHARED_PAIR_VERTICES, SizeLimitExceeded
 from digraphlab.verify import random_digraph
 
 
@@ -218,6 +219,78 @@ def test_neighbour_masks_are_the_symmetrised_loopless_adjacency():
         g = random_digraph(rng, rng.randint(0, 8), 0.3, loop_p=0.3)
         expected = [sum(1 << v for u, v in symmetrize(g).arcs if u == x and v != x) for x in range(g.n)]
         assert g.neighbour_masks == tuple(expected)
+
+
+def test_small_digraphs_share_equal_arc_pairs():
+    n = SHARED_PAIR_VERTICES
+    graphs = [
+        make_digraph(4, [(0, 1), (1, 2), (3, 3)]),
+        make_digraph(n, [(0, 1), (n - 1, 0), (2, n - 1)]),
+        from_json('{"n": 5, "arcs": [[0, 1], [3, 3], [4, 0]]}'),
+        induced(make_digraph(9, [(2, 3), (3, 4), (5, 5), (8, 2)]), [2, 3, 4, 5, 8]),
+        symmetrize(make_digraph(3, [(1, 0), (2, 1)])),
+        symmetrize(make_digraph(n, [(0, n - 1), (1, 2)])),
+    ]
+    shared = 0
+    for g in graphs:
+        for h in graphs:
+            for x in g.arcs:
+                for y in h.arcs:
+                    if x == y:
+                        assert x is y, (g, h, x)
+                        shared += g is not h
+    assert shared >= 20
+
+
+def test_digraphs_above_the_sharing_bound_leave_the_table_unchanged():
+    make_digraph(SHARED_PAIR_VERTICES, [(0, 1)])
+    size = len(core._SHARED_PAIRS)
+    n = SHARED_PAIR_VERTICES + 1
+    g = make_digraph(n, [(200, 201), (n - 1, 0), (0, n - 1), (201, 200), (5, 5)])
+    s = symmetrize(make_digraph(n, [(210, 211), (3, n - 1)]))
+    assert len(core._SHARED_PAIRS) == size
+    assert g.arcs == ((0, n - 1), (5, 5), (200, 201), (201, 200), (n - 1, 0))
+    assert s.arcs == ((3, n - 1), (210, 211), (211, 210), (n - 1, 3))
+
+
+def test_threshold_graphs_hold_at_most_n_squared_arc_objects():
+    """200 sparse graphs at the 3-colourability threshold (average degree
+    4.69) on 80 vertices hold some 75,000 arcs, but at most 80 * 80 objects."""
+    rng = random.Random(29)
+    n, m = 80, 188
+    graphs = []
+    for _ in range(200):
+        edges = set()
+        while len(edges) < m:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        g = make_digraph(n, edges)
+        graphs += [g, symmetrize(g)]
+    assert sum(len(g.arcs) for g in graphs) == 200 * 3 * m
+    assert len({id(a) for g in graphs for a in g.arcs}) <= n * n
+
+
+def test_has_arc_is_membership_in_the_arcs():
+    rng = random.Random(83)
+    odd = [(0.5, 0), (0, 1.5), ("0", 0), (0, "1"), (None, 0), ("a", "b"), (-1, 0), (0, -1)]
+    for _ in range(60):
+        n = rng.randint(0, 9)
+        g = random_digraph(rng, n, rng.random(), loop_p=0.3)
+        probes = [(u, v) for u in range(-2, n + 2) for v in range(-2, n + 2)]
+        probes += [(float(u), v) for u, v in g.arcs[:3]] + odd
+        for u, v in probes:
+            assert g.has_arc(u, v) == ((u, v) in g.arcs), (g.arcs, u, v)
+        assert not any(g.has_arc(u, v) for u, v in odd)
+        assert not g.has_arc(n, 0) and not g.has_arc(0, n)
+        assert "arc_set" not in vars(g)
+
+
+def test_tree_order_is_three_parallel_tuples_in_bfs_order():
+    t = make_digraph(7, [(1, 0), (1, 2), (3, 1), (2, 4), (5, 2), (5, 6)])
+    assert t.degree_order[0] == 1
+    assert t.tree_order == ((0, 2, 3, 4, 5, 6), (1, 1, 1, 2, 2, 5), (True, True, False, True, False, True))
+    assert make_digraph(1, []).tree_order == ((), (), ())
+    assert make_digraph(3, [(0, 1), (1, 2), (2, 0)]).tree_order is None
+    assert make_digraph(4, [(0, 1), (2, 3), (3, 2)]).tree_order is None
 
 
 def test_dot_export():
