@@ -296,7 +296,8 @@ def build_parser() -> _Parser:
     for flag in ("--input", "--source", "--target", "--tree"):
         p.add_argument(flag)
     p.add_argument("--factors", nargs="+")
-    for flag in ("--n", "--k", "--c", "--ell", "--samples", "--max-vertices", "--max-tree-arcs", "--seed", "--budget"):
+    for flag in ("--n", "--k", "--c", "--ell", "--samples", "--max-vertices", "--max-tree-arcs", "--seed", "--budget",
+                 "--random-sources", "--max-k", "--max-n"):
         p.add_argument(flag, type=int)
     p.add_argument("--check-consequence", type=int, metavar="N",
                    help="also check N random targets of chromatic number >= 4 (claim steep-path)")

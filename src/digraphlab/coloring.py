@@ -48,8 +48,8 @@ def _decide_colourable(
     """Backtracking k-colourability decision in dynamic saturation order
     (DSATUR): highest saturation first, then highest degree, then lowest
     index; colours ascending, at most one fresh colour per step to break
-    colour symmetry.  Masks come from ``g.rank_masks``, which hold vertex v
-    at bit ``g.degree_rank[v]``.
+    colour symmetry.  Masks come from ``g.rank_masks``, which hold each
+    vertex at the bit of its position in ``g.degree_order``.
 
     The search runs on an explicit stack of four int lists indexed by
     depth: the rank of the vertex coloured there, the next colour to try

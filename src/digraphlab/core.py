@@ -11,7 +11,6 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from operator import index
 from typing import Iterable, Optional, Sequence
 
@@ -29,6 +28,27 @@ SHARED_PAIR_VERTICES = 256
 #: added on first use: at most SHARED_PAIR_VERTICES ** 2 entries, and none
 #: until a digraph is built, so a process that builds few pays for few.
 _SHARED_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+class _cached_property:
+    """``functools.cached_property`` without its lock: the first read stores
+    the value in the instance dict, where every later read finds it before
+    this descriptor.  Python 3.10 and 3.11 take a per-descriptor ``RLock``
+    on each first read; here two threads can at worst both compute the same
+    value, which is pure, and keep either copy."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class ConstructionError(ValueError):
@@ -55,6 +75,12 @@ class Digraph:
     Built by ``make_digraph`` or ``symmetrize``, a digraph on at most
     SHARED_PAIR_VERTICES vertices shares each arc pair object with every
     other such digraph that has the arc.
+
+    The engines' per-digraph tables are cached on first read, in the
+    instance dict.  Colouring and the K_c search read one neighbour-mask
+    table, ``rank_masks``, over ``degree_order``; ``neighbour_masks``, in
+    vertex space, is not cached, and ``degree_rank`` is cached only when MAC
+    or the tree search reads it.
     """
 
     n: int
@@ -74,11 +100,11 @@ class Digraph:
         tag = f" {self.name!r}" if self.name else ""
         return f"<Digraph{tag} n={self.n} arcs={len(self.arcs)}>"
 
-    @cached_property
+    @_cached_property
     def arc_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.arcs)
 
-    @cached_property
+    @_cached_property
     def out_masks(self) -> tuple[int, ...]:
         """Bit v of ``out_masks[u]`` is arc (u, v), loops included."""
         masks = [0] * self.n
@@ -86,7 +112,7 @@ class Digraph:
             masks[u] |= 1 << v
         return tuple(masks)
 
-    @cached_property
+    @_cached_property
     def in_masks(self) -> tuple[int, ...]:
         """Bit u of ``in_masks[v]`` is arc (u, v), loops included."""
         masks = [0] * self.n
@@ -94,9 +120,11 @@ class Digraph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    @cached_property
+    @property
     def neighbour_masks(self) -> tuple[int, ...]:
-        """Bit v of ``neighbour_masks[u]`` is an arc between u != v, either way."""
+        """Bit v of ``neighbour_masks[u]`` is an arc between u != v, either
+        way.  Built on each read and not cached: ``degree_order`` reads it
+        once, and colouring reads ``rank_masks``."""
         masks = [0] * self.n
         for u, v in self.arcs:
             if u != v:
@@ -107,17 +135,17 @@ class Digraph:
     # The hom engine's per-digraph data, built on first use and shared by
     # every search the digraph takes part in.
 
-    @cached_property
+    @_cached_property
     def loops(self) -> tuple[int, ...]:
         """The vertices that carry a loop, ascending."""
         return tuple(u for u, v in self.arcs if u == v)
 
-    @cached_property
+    @_cached_property
     def loop_mask(self) -> int:
         """Bit x is set iff vertex x carries a loop."""
         return sum(1 << u for u in self.loops)
 
-    @cached_property
+    @_cached_property
     def out_neighbours(self) -> tuple[tuple[int, ...], ...]:
         """Heads of the arcs leaving each vertex, the vertex itself left out."""
         outs: list[list[int]] = [[] for _ in range(self.n)]
@@ -126,7 +154,7 @@ class Digraph:
                 outs[u].append(v)
         return tuple(map(tuple, outs))
 
-    @cached_property
+    @_cached_property
     def in_neighbours(self) -> tuple[tuple[int, ...], ...]:
         """Tails of the arcs entering each vertex, the vertex itself left out."""
         ins: list[list[int]] = [[] for _ in range(self.n)]
@@ -135,46 +163,52 @@ class Digraph:
                 ins[v].append(u)
         return tuple(map(tuple, ins))
 
-    @cached_property
+    @_cached_property
     def degree_order(self) -> tuple[int, ...]:
         """Vertices by descending ``neighbour_masks`` degree, lowest index
         first on ties."""
         masks = self.neighbour_masks
         return tuple(sorted(range(self.n), key=lambda x: (-masks[x].bit_count(), x)))
 
-    @cached_property
+    @_cached_property
     def degree_rank(self) -> tuple[int, ...]:
-        """``degree_rank[x]`` is the position of x in ``degree_order``."""
+        """``degree_rank[x]`` is the position of x in ``degree_order``;
+        MAC and the tree search read it at every node."""
         rank = [0] * self.n
         for r, x in enumerate(self.degree_order):
             rank[x] = r
         return tuple(rank)
 
-    @cached_property
+    @_cached_property
     def rank_masks(self) -> tuple[int, ...]:
         """``neighbour_masks`` in rank space: entry r holds the neighbours of
-        ``degree_order[r]``, each vertex v at bit ``degree_rank[v]``."""
-        rank = self.degree_rank
-        bit = [1 << r for r in rank]
-        masks = [0] * self.n
+        ``degree_order[r]``, each vertex at the bit of its position in
+        ``degree_order``.  DSATUR, the K_c search and ``greedy_clique`` read
+        it.  The ranks are local, so no ``degree_rank`` is cached, and each
+        row's int is built once, after the arc loop."""
+        rank = [0] * self.n
+        for r, x in enumerate(self.degree_order):
+            rank[x] = r
+        rows: list[set[int]] = [set() for _ in range(self.n)]
         for u, v in self.arcs:
             if u != v:
-                masks[rank[u]] |= bit[v]
-                masks[rank[v]] |= bit[u]
-        return tuple(masks)
+                rows[rank[u]].add(rank[v])
+                rows[rank[v]].add(rank[u])
+        return tuple(sum(1 << r for r in row) for row in rows)
 
-    @cached_property
+    @_cached_property
     def greedy_clique(self) -> tuple[int, ...]:
         """Best clique grown greedily from each of the first 24 vertices of
         ``degree_order``, in growth order, each step adding the candidate
-        with most neighbours among the rest (lowest index on ties).  Only a
-        strictly larger clique replaces the best, so two cut-offs keep it:
-        the first start of degree below the best's size ends the loop, and a
-        clique that cannot beat the best with its last vertex's candidates
-        stops growing."""
-        masks = self.neighbour_masks
+        with most neighbours among the rest (lowest vertex index on ties).
+        Only a strictly larger clique replaces the best, so two cut-offs
+        keep it: the first start of degree below the best's size ends the
+        loop, and a clique that cannot beat the best with its last vertex's
+        candidates stops growing.  The cliques grow over ``rank_masks``, and
+        the best is mapped back through ``degree_order``."""
+        masks, order = self.rank_masks, self.degree_order
         best: list[int] = []
-        for start in self.degree_order[:24]:
+        for start in range(min(24, self.n)):
             common = masks[start]
             if common.bit_count() < len(best):
                 break
@@ -182,20 +216,20 @@ class Digraph:
             while common:
                 most, rest = -1, common
                 while rest:
-                    v = (rest & -rest).bit_length() - 1
+                    r = (rest & -rest).bit_length() - 1
                     rest &= rest - 1
-                    d = (masks[v] & common).bit_count()
-                    if d > most:
-                        u, most = v, d
+                    d = (masks[r] & common).bit_count()
+                    if d > most or d == most and order[r] < order[u]:
+                        u, most = r, d
                 clique.append(u)
                 if len(clique) + most <= len(best):
                     break
                 common &= masks[u]
             if len(clique) > len(best):
                 best = clique
-        return tuple(best)
+        return tuple(order[r] for r in best)
 
-    @cached_property
+    @_cached_property
     def tree_order(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...], tuple[bool, ...]]]:
         """For an oriented tree, its non-root vertices in BFS order from
         ``degree_order[0]`` as three parallel tuples: the children, their
@@ -226,7 +260,7 @@ class Digraph:
             return None
         return tuple(frontier[1:]), tuple(parents), tuple(forward)
 
-    @cached_property
+    @_cached_property
     def supports(self) -> dict[int, tuple[int, int]]:
         """Memo of the hom engine, filled as searches into this digraph run:
         vertex mask D -> (union of ``out_masks``, union of ``in_masks``)

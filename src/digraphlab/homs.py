@@ -20,11 +20,12 @@ bit r of plane x set while the vertex of rank r may still take colour x,
 with the domain sizes bit-sliced.  A vertex left with one colour takes it
 from all its neighbours in one mask operation, and the new singletons this
 makes cascade; that is exactly the AC-3 fixpoint into K_c.  Frames save the
-planes, not a trail.  It keeps a clamp (the source's cached
-``greedy_clique`` first, then descending degree, the i-th vertex starting
-with colours 0 .. i) and MAC's branching order, ascending colours and node
-count, so every witness, every None and every BUDGET_EXCEEDED are those MAC
-gives from the same clamp.
+planes, not a trail.  It keeps MAC's clamp, taken in rank space: the
+ranks of the source's cached ``greedy_clique`` first, then ranks 0, 1, ...,
+which is descending degree since ``degree_order[i]`` has rank i; the i-th
+vertex starts with colours 0 .. i.  With MAC's branching order, ascending
+colours and node count, every witness, every None and every BUDGET_EXCEEDED
+are those MAC gives from the same clamp.
 Once no two unassigned vertices are adjacent, the nodes MAC has left each
 colour one of them with its lowest colour, so they are counted in one step.
 
@@ -411,10 +412,12 @@ def _complete_search(g: Digraph, c: int, budget: int):
     Domains are the colour planes of ``_settle`` over g's degree rank, and
     their sizes are bit-sliced in ``tail``.  For K_c, AC-3 removes a value
     only when a neighbour's domain is that single value, so ``_settle``
-    reaches the same fixpoint.  The clamp is the same: along
-    ``g.greedy_clique`` and then descending degree, the i-th vertex starts
-    with colours 0 .. min(i, c - 1), as a hom can always be relabelled so;
-    an oversized clique wipes out before any value is tried.  Branching is
+    reaches the same fixpoint.  The clamp is the same, taken in rank
+    space: along the ranks of ``g.greedy_clique`` (by
+    ``g.degree_order.index``) and then ranks 0, 1, ..., the i-th vertex
+    starts with colours 0 .. min(i, c - 1), as a hom can always be
+    relabelled so; an oversized clique wipes out before any value is tried.
+    Only ``g.rank_masks`` is read per node.  Branching is
     ``_mac_search``'s: smallest domain of size >= 2, lowest rank on ties,
     colours ascending, one node per colour tried.  So the witness, the None
     and the budget cut-off are those of MAC.  A frame is [vertex bit, its
@@ -427,13 +430,13 @@ def _complete_search(g: Digraph, c: int, budget: int):
     test runs only after a colour that no neighbour held.
     """
     nb = g.rank_masks
-    rank = g.degree_rank
     full = (1 << g.n) - 1
     tail = [full if (c - 1) >> j & 1 else 0 for j in range((c - 1).bit_length())]
     planes = [full] * c
-    clamped = list(dict.fromkeys([*g.greedy_clique, *g.degree_order[: c - 1]]))[: c - 1]
-    for pos, u in enumerate(clamped):
-        bit = 1 << rank[u]
+    clique = map(g.degree_order.index, g.greedy_clique)
+    clamped = list(dict.fromkeys([*clique, *range(min(c - 1, g.n))]))[: c - 1]
+    for pos, r in enumerate(clamped):
+        bit = 1 << r
         for j, t in enumerate(tail):
             tail[j] = t | bit if pos >> j & 1 else t & ~bit
         for x in range(pos + 1, c):

@@ -402,6 +402,31 @@ def test_verify_passes_every_flag_the_verifier_takes(capsys, argv, params):
 
 
 @pytest.mark.parametrize(
+    "argv, params",
+    [
+        ("--claim chick-table --max-k 2 --max-n 5", {"max_k": 2, "max_n": 5}),
+        ("--claim chick-table --max-n 3", {"max_k": 3, "max_n": 3}),
+        ("--claim width1-completeness --random-sources 3",
+         {"max_target_n": 6, "max_target_k": 2, "random_sources": 3, "max_source_vertices": 6}),
+        ("--claim adjunction --samples 2 --max-k 1", {"samples": 2, "max_vertices": 4, "max_k": 1}),
+        ("--claim mulpath --samples 2 --max-n 2", {"samples": 2, "max_vertices": 4, "max_n": 2}),
+        ("--claim hompath --samples 2 --max-n 1", {"samples": 2, "max_vertices": 4, "max_n": 1}),
+    ],
+)
+def test_verify_sweep_size_flags_are_echoed_in_params(capsys, argv, params):
+    code, out, _ = run(capsys, "verify", *argv.split(), "--json")
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "PASS" and report["params"] == params
+
+
+def test_chick_table_flags_bound_the_table(capsys):
+    code, out, _ = run(capsys, "verify", "--claim", "chick-table", "--max-k", "4", "--max-n", "12", "--json")
+    rows = json.loads(out)["witnesses"]["table"]
+    assert code == 0 and len(rows) == 32
+    assert {(r["k"], r["n"]) for r in rows} == {(k, n) for k in range(1, 5) for n in range(2 * k, 13)}
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         ("--claim inadprod --n 3", "--k"),
@@ -482,6 +507,15 @@ def test_verify_all_json(capsys):
     assert code == 0 and all(r["verdict"] == "PASS" for r in reports)
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "3d5f6522eebbdeb62c25909effc8f9b45bf7db243854d8f98d951713244b1c93"
+    )
+
+
+def test_verify_all_full_json_is_pinned(capsys):
+    # taken before `verify` gained --random-sources, --max-k and --max-n
+    code, out, _ = run(capsys, "verify-all", "--profile", "full", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f984ede31a852b13a8c66c2028400eb79e869b0907d1f6d6137232dfaa49d65b"
     )
 
 

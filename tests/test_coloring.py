@@ -10,6 +10,7 @@ from digraphlab import (
     arc_graph,
     check_colouring,
     chromatic_number,
+    circular_complete,
     complete,
     hom_exists,
     interleaved_adjoint,
@@ -300,10 +301,31 @@ def _greedy_clique_without_exits(g):
 
 
 def test_greedy_clique_exits_keep_the_clique():
+    # grown over rank_masks, the clique must still be the vertex-space one:
+    # one-way arcs and 2-cycles, ties in degree and in candidate counts
+    # (circulants tie everywhere), and more than the 24 starts
     rng = random.Random(20264)
     graphs = [random_digraph(rng, rng.randint(1, 40), rng.uniform(0.02, 0.9)) for _ in range(200)]
+    graphs += [random_digraph(rng, n, rng.uniform(0.02, 0.9)) for n in range(1, 61)]
+    # the best clique grows from the 24th start (seeds 496, 716) or would
+    # from a 25th (seeds 136, 334)
+    for seed in (136, 334, 496, 716):
+        r = random.Random(seed)
+        graphs.append(random_digraph(r, r.randint(25, 60), r.uniform(0.05, 0.9)))
+    graphs += [tournament(n) for n in range(1, 30)]
+    graphs += [circular_complete(n, k) for k in (2, 3) for n in range(2 * k + 1, 61, 3)]
     graphs += _threshold_graphs(30, 60, 20261)
     graphs += [complete(n) for n in range(1, 30)]
     graphs += [interleaved_adjoint(tournament(n), k) for k in range(1, 4) for n in range(2 * k, 9)]
     for g in graphs:
         assert g.greedy_clique == _greedy_clique_without_exits(g)
+
+
+def test_colouring_caches_only_the_rank_space_tables():
+    graphs = [random_digraph(random.Random(seed), 30, 0.2) for seed in range(5)]
+    graphs += _threshold_graphs(5, 80, 20262)
+    for g in graphs:
+        chi = chromatic_number(g).chi
+        assert isinstance(hom_exists(g, complete(chi)), Hom) and hom_exists(g, complete(chi - 1)) is None
+        assert "rank_masks" in vars(g) and "greedy_clique" in vars(g)
+        assert "neighbour_masks" not in vars(g) and "degree_rank" not in vars(g)

@@ -434,6 +434,13 @@ PINNED_SEARCHES = {
         2,
         None,
     ),
+    # the greedy clique sits at ranks 1, 3 and 8, so the clamp takes those
+    # three ranks and then rank 0
+    "oriented-into-K5-clamp-off-the-degree-prefix": (
+        lambda: (_oriented_graph(8, 12, 16), complete(5)),
+        9,
+        _digits("011001011121"),
+    ),
     "matching-into-K2": (
         lambda: (make_digraph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (6, 7)]), complete(2)),
         2,
