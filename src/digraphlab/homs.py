@@ -10,7 +10,8 @@ trail that is undone on backtrack, and the search runs on an explicit stack
 of frames, so no source is too large for the Python recursion limit.  For
 targets whose obstruction sets are trees, arc consistency alone decides; the
 search then never actually backtracks.  A categorical product is searched
-as the digraph ``ProductSpec.materialize()`` builds.
+as the digraph ``ProductSpec.materialize()`` builds.  MAC and the tree
+path below pick off the size buckets of ``_rebucket``.
 
 A complete symmetric target K_c, the target of every colouring question,
 has a search of its own with the same answers.  Into K_c a domain loses a
@@ -148,11 +149,10 @@ def _tree_search(t: Digraph, h: Digraph, doms: list[int], budget: int):
     again, so MAC's first value never wipes out: it never backtracks and
     tries one value per pick.  So this keeps MAC's rules without its trail,
     frames or retries: pick the smallest domain of size >= 2 (lowest
-    ``degree_rank`` on ties), take its lowest value, count one node, and
-    propagate outward over a plain worklist, then re-bucket the worklist by
-    domain size as ``_Buckets.sync`` does, inline, as this loop is the whole
-    cost of a large tree.  Returns MAC's assignment, or BUDGET_EXCEEDED at
-    MAC's node count.
+    ``degree_rank`` on ties) from the buckets of ``_rebucket``, take its
+    lowest value, count one node, and propagate outward over a plain
+    worklist, which ``_rebucket`` then re-buckets.  Returns MAC's
+    assignment, or BUDGET_EXCEEDED at MAC's node count.
     """
     succ, pred, supports = t.out_neighbours, t.in_neighbours, h.supports
     order, rank = t.degree_order, t.degree_rank
@@ -161,18 +161,7 @@ def _tree_search(t: Digraph, h: Digraph, doms: list[int], budget: int):
     nonempty = nodes = 0
     changed: Sequence[int] = range(t.n)
     while True:
-        for v in changed:
-            old, new = size[v], doms[v].bit_count()
-            size[v] = new
-            bit = 1 << rank[v]
-            if old > 1:
-                buckets[old] ^= bit
-                if not buckets[old]:
-                    nonempty ^= 1 << old
-            if new > 1:
-                if not buckets[new]:
-                    nonempty |= 1 << new
-                buckets[new] |= bit
+        nonempty = _rebucket(changed, doms, size, rank, buckets, nonempty)
         if not nonempty:
             return tuple(d.bit_length() - 1 for d in doms)
         nodes += 1
@@ -268,51 +257,28 @@ def _propagate(g: Digraph, h: Digraph, doms: list[int], queue: set[int], trail: 
     return True
 
 
-class _Buckets:
-    """Unassigned vertices (domain size >= 2) bucketed by domain size.
-
-    Bucket s is a bitmask over each vertex's rank in the source's
-    ``degree_order``, so the lowest set bit of the smallest non-empty bucket
-    is the minimum of ``(len(dom), -deg, x)`` without a scan over the
-    vertices.
-    """
-
-    __slots__ = ("doms", "order", "rank", "size", "buckets", "nonempty")
-
-    def __init__(self, doms: list[int], g: Digraph, width: int):
-        self.doms = doms
-        self.order = g.degree_order
-        self.rank = g.degree_rank
-        self.size = [1] * len(doms)
-        self.buckets = [0] * (width + 1)
-        self.nonempty = 0
-        self.sync(range(len(doms)))
-
-    def sync(self, vertices) -> None:
-        """Re-bucket the given vertices after their domains changed."""
-        doms, size, rank, buckets = self.doms, self.size, self.rank, self.buckets
-        for x in vertices:
-            new, old = doms[x].bit_count(), size[x]
-            if new == old:
-                continue
-            size[x] = new
-            bit = 1 << rank[x]
-            if old > 1:
-                buckets[old] ^= bit
-                if not buckets[old]:
-                    self.nonempty ^= 1 << old
-            if new > 1:
-                if not buckets[new]:
-                    self.nonempty |= 1 << new
-                buckets[new] |= bit
-
-    def pick(self) -> Optional[int]:
-        """The next vertex to branch on, or None when all are assigned."""
-        if not self.nonempty:
-            return None
-        s = (self.nonempty & -self.nonempty).bit_length() - 1
-        m = self.buckets[s]
-        return self.order[(m & -m).bit_length() - 1]
+def _rebucket(vertices, doms: list[int], size: list[int], rank, buckets: list[int], nonempty: int) -> int:
+    """Re-bucket the given vertices after their domains changed; return the
+    new ``nonempty``.  ``size`` holds each vertex's domain size as last
+    bucketed.  Bucket s >= 2 is a bitmask over the ``degree_rank`` of the
+    vertices of size s, and bit s of ``nonempty`` is set while bucket s is.
+    So the lowest bit of the smallest non-empty bucket is MAC's pick, the
+    least ``(len(dom), -deg, x)``, with no scan over the vertices."""
+    for x in vertices:
+        new, old = doms[x].bit_count(), size[x]
+        if new == old:
+            continue
+        size[x] = new
+        bit = 1 << rank[x]
+        if old > 1:
+            buckets[old] ^= bit
+            if not buckets[old]:
+                nonempty ^= 1 << old
+        if new > 1:
+            if not buckets[new]:
+                nonempty |= 1 << new
+            buckets[new] |= bit
+    return nonempty
 
 
 def _mac_search(g: Digraph, h: Digraph, doms: list[int], budget: int):
@@ -323,14 +289,18 @@ def _mac_search(g: Digraph, h: Digraph, doms: list[int], budget: int):
     more than ``budget`` values have been tried.  A frame is [vertex,
     values not yet tried, trail length before its assignment].
     """
-    buckets = _Buckets(doms, g, h.n)
+    order, rank = g.degree_order, g.degree_rank
+    size = [1] * g.n
+    buckets = [0] * (h.n + 1)
+    nonempty = _rebucket(range(g.n), doms, size, rank, buckets, 0)
     trail: list[int] = []
     frames: list[list[int]] = []
     nodes = 0
     while True:
-        u = buckets.pick()
-        if u is None:
+        if not nonempty:
             return tuple(d.bit_length() - 1 for d in doms)
+        bucket = buckets[(nonempty & -nonempty).bit_length() - 1]
+        u = order[(bucket & -bucket).bit_length() - 1]
         frames.append([u, doms[u], len(trail)])
         while True:
             if not frames:
@@ -340,9 +310,8 @@ def _mac_search(g: Digraph, h: Digraph, doms: list[int], budget: int):
             if len(trail) > mark:
                 for i in range(len(trail) - 2, mark - 1, -2):
                     doms[trail[i]] = trail[i + 1]
-                undone = trail[mark::2]
+                nonempty = _rebucket(trail[mark::2], doms, size, rank, buckets, nonempty)
                 del trail[mark:]
-                buckets.sync(undone)
             if not untried:
                 frames.pop()
                 continue
@@ -354,7 +323,7 @@ def _mac_search(g: Digraph, h: Digraph, doms: list[int], budget: int):
             trail += (u, doms[u])
             doms[u] = val
             if _propagate(g, h, doms, {u}, trail):
-                buckets.sync(trail[mark::2])
+                nonempty = _rebucket(trail[mark::2], doms, size, rank, buckets, nonempty)
                 break
 
 

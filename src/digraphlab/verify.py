@@ -198,10 +198,11 @@ def _hom_json(h: Hom) -> list[int]:
     return list(h.map)
 
 
-def _count(name: str, value: int) -> None:
-    """A sweep's sample count is a usage error below zero."""
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+def _count(name: str, value: int, least: int = 0) -> None:
+    """A sample count or a size parameter is a usage error below its least
+    value."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 # --- instance generators ------------------------------------------------------
@@ -346,6 +347,7 @@ def verify_gencol(g: Digraph, k: int = 2) -> Outcome:
     <= chi(g), validating the even-coordinate projection into the adjoint and
     the first-coordinate projection out of it.
     """
+    _count("k", k, 1)
     params = {"graph": to_json_dict(g), "k": k}
     m = 2 * k - 2
     if m == 0:
@@ -390,6 +392,8 @@ def verify_gencol_sweep(
     seed: int = 20103,
 ) -> Outcome:
     _count("samples", samples)
+    _count("max_vertices", max_vertices, 1)
+    _count("k", k, 1)
     rng = random.Random(seed)
     reports = (
         verify_gencol(random_digraph(rng, rng.randint(1, max_vertices), rng.uniform(0.15, 0.6)), k)
@@ -469,6 +473,8 @@ def verify_adjunction_sweep(
     and skipped, so the other samples are still checked; FAIL >
     INDETERMINATE > PASS."""
     _count("samples", samples)
+    _count("max_vertices", max_vertices, 1)
+    _count("max_k", max_k, 1)
     rng = random.Random(seed)
     failures = []
     indeterminate = 0
@@ -738,6 +744,8 @@ def verify_mulpath_sweep(
     budget: int = DEFAULT_BUDGET,
 ) -> Outcome:
     _count("samples", samples)
+    _count("max_vertices", max_vertices, 1)
+    _count("max_n", max_n, 1)
     rng = random.Random(seed)
     reports = (
         verify_mulpath(
@@ -786,6 +794,8 @@ def verify_hompath_sweep(
     budget: int = DEFAULT_BUDGET,
 ) -> Outcome:
     _count("samples", samples)
+    _count("max_vertices", max_vertices, 1)
+    _count("max_n", max_n, 1)
     rng = random.Random(seed)
     reports = (
         verify_hompath(
@@ -1140,6 +1150,7 @@ def verify_oracle_equivalence(
     """Search engine agrees with exhaustive enumeration on random pairs."""
     params = {"samples": samples, "max_vertices": max_vertices}
     _count("samples", samples)
+    _count("max_vertices", max_vertices)
     rng = random.Random(seed)
     failures = []
     for i in range(samples):
@@ -1181,6 +1192,8 @@ def verify_width1_completeness(
         "max_source_vertices": max_source_vertices,
     }
     _count("random_sources", random_sources)
+    if random_sources:
+        _count("max_source_vertices", max_source_vertices, 3)
     rng = random.Random(seed)
     sources = list(all_digraphs(2))
     for _ in range(random_sources):

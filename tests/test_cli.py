@@ -481,6 +481,43 @@ def test_negative_sample_count_is_usage_error(capsys, argv):
     assert code == 3 and out == "" and "must be >= 0, got -1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--claim adjunction --samples 3 --max-k 0", "max_k must be >= 1, got 0"),
+        ("--claim adjunction --samples 3 --max-vertices 0", "max_vertices must be >= 1, got 0"),
+        ("--claim mulpath --samples 2 --max-n 0", "max_n must be >= 1, got 0"),
+        ("--claim mulpath --samples 2 --max-vertices 0", "max_vertices must be >= 1, got 0"),
+        ("--claim hompath --samples 2 --max-n 0", "max_n must be >= 1, got 0"),
+        ("--claim hompath --samples 2 --max-vertices 0", "max_vertices must be >= 1, got 0"),
+        ("--claim gencol --samples 2 --max-vertices 0", "max_vertices must be >= 1, got 0"),
+        ("--claim gencol-sweep --k 0", "k must be >= 1, got 0"),
+        ("--claim gencol --samples 0 --k 0", "k must be >= 1, got 0"),
+        ("--claim gencol --input @t4 --k 0", "k must be >= 1, got 0"),
+        ("--claim width1-completeness --max-vertices 2", "max_source_vertices must be >= 3, got 2"),
+        ("--claim oracle-equivalence --max-vertices -1", "max_vertices must be >= 0, got -1"),
+    ],
+)
+def test_sweep_size_below_its_least_is_usage_error(tmp_path, capsys, argv, message):
+    file_of = _graph_files(tmp_path)
+    args = [file_of(a[1:]) if a.startswith("@") else a for a in argv.split()]
+    code, out, err = run(capsys, "verify", *args)
+    assert code == 3 and out == "" and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, checked",
+    [
+        ("--claim width1-completeness --max-vertices 2 --random-sources 0", 228),
+        ("--claim oracle-equivalence --max-vertices 0 --samples 3", 3),
+    ],
+)
+def test_sweep_at_its_least_size_runs(capsys, argv, checked):
+    code, out, _ = run(capsys, "verify", *argv.split(), "--json")
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "PASS" and report["witnesses"]["checked"] == checked
+
+
 def test_finobs_usage_error_names_the_given_k(capsys):
     code, out, err = run(capsys, "verify", "--claim", "finobs", "--n", "0", "--k", "2")
     assert code == 3 and out == ""

@@ -17,6 +17,7 @@ from digraphlab import (
     complete,
     hom_equivalent,
     hom_exists,
+    interleaved_adjoint,
     make_digraph,
     path,
     symmetrize,
@@ -420,6 +421,23 @@ PINNED_SEARCHES = {
         (2, 0, 2, 0, 2, 0, 0, 2, 2, 0, 2, 2, 0, 0),
     ),
     "C7-into-C5-refuted": (lambda: (_directed_cycle(7), _directed_cycle(5)), 5, None),
+    "oriented-into-iota2-T8": (
+        lambda: (_oriented_graph(13, 14, 15), interleaved_adjoint(tournament(8), 2)),
+        12,
+        (3, 30, 21, 12, 21, 0, 3, 12, 2, 12, 3, 3, 30, 12),
+    ),
+    # the source's loops at 0 and 1 send both onto the target's one loop, at 4
+    "looped-into-looped-C5": (
+        lambda: (make_digraph(14, [*symmetrize(_oriented_graph(0, 14, 26)).arcs, (0, 0), (1, 1)]),
+                 make_digraph(5, [*circular_complete(5, 2).arcs, (4, 4)])),
+        9,
+        _digits("44104134433411"),
+    ),
+    "symmetric-into-K7/2-refuted": (
+        lambda: (symmetrize(_oriented_graph(30, 20, 45)), circular_complete(7, 2)),
+        91,
+        None,
+    ),
     "oriented-into-K3-refuted": (lambda: (_oriented_graph(8, 40, 95), complete(3)), 14, None),
     "oriented-into-K4": (
         lambda: (_oriented_graph(0, 18, 40), complete(4)),
@@ -578,6 +596,65 @@ def test_tree_path_is_mac_on_trees():
             expected = _mac(t, h, budget)
             assert (w if w is None or w is BUDGET_EXCEEDED else w.map) == expected, (t.arcs, h.arcs, budget)
     assert cases > 500
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def _reference_mac(g, h, doms, budget):
+    """MAC written plainly, by recursion: branch on the unassigned vertex
+    (domain size >= 2) of least (domain size, ``degree_rank``), try its
+    values in ascending order, one node each, and run ``_propagate`` on a
+    copy of the domains at each node."""
+    nodes = 0
+
+    def search(doms):
+        nonlocal nodes
+        unassigned = [x for x in range(g.n) if doms[x].bit_count() > 1]
+        if not unassigned:
+            return tuple(d.bit_length() - 1 for d in doms)
+        u = min(unassigned, key=lambda x: (doms[x].bit_count(), g.degree_rank[x]))
+        for x in range(h.n):
+            if doms[u] >> x & 1:
+                nodes += 1
+                if nodes > budget:
+                    raise _OutOfBudget
+                child = list(doms)
+                child[u] = 1 << x
+                if homs._propagate(g, h, child, {u}, []):
+                    found = search(child)
+                    if found is not None:
+                        return found
+        return None
+
+    try:
+        return search(doms)
+    except _OutOfBudget:
+        return BUDGET_EXCEEDED
+
+
+def test_mac_search_is_the_plain_reference():
+    """_mac_search's witness or None at the default budget, and its
+    BUDGET_EXCEEDED boundary at random budgets, against _reference_mac on
+    non-tree sources with loops and 2-cycles."""
+    rng = random.Random(73)
+    cases = backtracked = 0
+    while cases < 3000:
+        g = random_digraph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.6), loop_p=rng.choice([0.0, 0.1]))
+        h = random_digraph(rng, rng.randint(1, 6), rng.uniform(0.3, 0.8), loop_p=rng.choice([0.0, 0.2]))
+        doms = [(1 << h.n) - 1] * g.n
+        if g.tree_order is not None or not homs._fixpoint(g, h, doms):
+            continue
+        cases += 1
+        expected = _reference_mac(g, h, list(doms), homs.DEFAULT_BUDGET)
+        assert homs._mac_search(g, h, list(doms), homs.DEFAULT_BUDGET) == expected, (g.arcs, h.arcs)
+        picks = sum(d.bit_count() > 1 for d in doms)
+        budget = rng.randint(1, 2 * picks + 2)
+        expected = _reference_mac(g, h, list(doms), budget)
+        assert homs._mac_search(g, h, list(doms), budget) == expected, (g.arcs, h.arcs, budget)
+        backtracked += _reference_mac(g, h, list(doms), picks) is BUDGET_EXCEEDED
+    assert backtracked > 150
 
 
 @pytest.mark.parametrize(
